@@ -32,27 +32,25 @@ let check_key t key =
              (Printf.sprintf "tree keys are %s, got %s" (V.ty_to_string ty')
                 (V.ty_to_string ty)))
 
-(* insert into a sorted assoc list, appending to an existing payload list *)
+(* insert into a sorted assoc list, appending to an existing payload
+   list; payload lists are stored newest first, so the append is a cons,
+   and every reader reverses them back into insertion order *)
 let rec insert_sorted key payload = function
   | [] -> [ (key, [ payload ]) ]
   | (k, ps) :: rest ->
       let c = V.compare key k in
-      if c = 0 then (k, ps @ [ payload ]) :: rest
+      if c = 0 then (k, payload :: ps) :: rest
       else if c < 0 then (key, [ payload ]) :: (k, ps) :: rest
       else (k, ps) :: insert_sorted key payload rest
 
-let split_list xs =
-  let n = List.length xs in
-  let rec take k = function
-    | [] -> ([], [])
-    | x :: rest ->
-        if k = 0 then ([], x :: rest)
-        else begin
-          let l, r = take (k - 1) rest in
-          (x :: l, r)
-        end
-  in
-  take (n / 2) xs
+(* the first [k] elements and the rest *)
+let rec take k = function
+  | x :: rest when k > 0 ->
+      let l, r = take (k - 1) rest in
+      (x :: l, r)
+  | xs -> ([], xs)
+
+let split_list xs = take (List.length xs / 2) xs
 
 (* returns Some (separator, right sibling) when the child split *)
 let rec insert_node t node key payload =
@@ -93,13 +91,6 @@ let rec insert_node t node key payload =
         match right_keys_with_sep with
         | sep :: right_keys ->
             let left_kids, right_kids =
-              let rec take k = function
-                | xs when k = 0 -> ([], xs)
-                | x :: rest ->
-                    let l, r = take (k - 1) rest in
-                    (x :: l, r)
-                | [] -> ([], [])
-              in
               take (List.length left_keys + 1) inner.kids
             in
             let right = Node { keys = right_keys; kids = right_kids } in
@@ -137,15 +128,9 @@ let find t key =
   | Some ty when ty <> V.type_of key -> []
   | Some _ ->
       let leaf = find_leaf t.root key in
-      (match List.assoc_opt key leaf.items with
-      | Some ps -> ps
-      | None -> (
-          (* assoc uses structural equality; fall back to comparison *)
-          match
-            List.find_opt (fun (k, _) -> V.compare k key = 0) leaf.items
-          with
-          | Some (_, ps) -> ps
-          | None -> []))
+      (match List.find_opt (fun (k, _) -> V.compare k key = 0) leaf.items with
+      | Some (_, ps) -> List.rev ps
+      | None -> [])
 
 let mem t key = find t key <> []
 
@@ -171,7 +156,7 @@ let range t ~lo ~hi =
             (fun (acc, past) (k, ps) ->
               if V.compare k lo < 0 then (acc, past)
               else if V.compare k hi > 0 then (acc, true)
-              else ((k, ps) :: acc, past))
+              else ((k, List.rev ps) :: acc, past))
             (acc, false) leaf.items
         in
         if past then in_range
@@ -204,7 +189,7 @@ let fold_range ?lo ?hi f t init =
               then (acc, false)
               else if (match hi with Some h -> V.compare k h > 0 | None -> false)
               then (acc, true)
-              else (f k ps acc, false))
+              else (f k (List.rev ps) acc, false))
             (acc, false) leaf.items
         in
         if past then acc
@@ -215,7 +200,7 @@ let fold_range ?lo ?hi f t init =
 let iter f t =
   let leftmost = leftmost_leaf in
   let rec walk leaf =
-    List.iter (fun (k, ps) -> f k ps) leaf.items;
+    List.iter (fun (k, ps) -> f k (List.rev ps)) leaf.items;
     match leaf.next with Some next -> walk next | None -> ()
   in
   walk (leftmost t.root)
@@ -232,6 +217,62 @@ let height t =
 let of_list ?order entries =
   let t = create ?order () in
   List.iter (fun (k, p) -> insert t k p) entries;
+  t
+
+(* Cut the [n] elements [xs] into runs of at most [cap], all full but
+   the last two, which share what is left evenly so that neither falls
+   below half of [cap]. *)
+let rec runs cap n xs =
+  if n <= cap then [ xs ]
+  else if n <= 2 * cap then
+    let l, r = split_list xs in
+    [ l; r ]
+  else
+    let l, r = take cap xs in
+    l :: runs cap (n - cap) r
+
+let of_sorted ?order entries =
+  let t = create ?order () in
+  (* one item per key, its payloads newest first as [insert] keeps them *)
+  let items =
+    List.fold_left
+      (fun acc (k, p) ->
+        check_key t k;
+        match acc with
+        | (k', ps) :: rest when V.compare k k' = 0 -> (k', p :: ps) :: rest
+        | (k', _) :: _ when V.compare k k' < 0 ->
+            invalid_arg "Btree.of_sorted: keys out of order"
+        | _ -> (k, [ p ]) :: acc)
+      [] entries
+    |> List.rev
+  in
+  let leaves =
+    List.map
+      (fun items -> { items; next = None })
+      (runs t.order (List.length items) items)
+  in
+  let rec link = function
+    | a :: (b :: _ as rest) ->
+        a.next <- Some b;
+        link rest
+    | _ -> ()
+  in
+  link leaves;
+  (* each level is (smallest key below, node); a node's separators are
+     the smallest keys of its kids but the first *)
+  let rec up = function
+    | [ (_, root) ] -> root
+    | level ->
+        up
+          (List.map
+             (fun kids ->
+               ( fst (List.hd kids),
+                 Node { keys = List.map fst (List.tl kids); kids = List.map snd kids } ))
+             (runs (t.order + 1) (List.length level) level))
+  in
+  (match leaves with
+  | [ leaf ] -> t.root <- Leaf leaf
+  | _ -> t.root <- up (List.map (fun l -> (fst (List.hd l.items), Leaf l)) leaves));
   t
 
 let check_invariants t =
@@ -289,9 +330,10 @@ module R = Relational
 
 let index_relation ?order rel attr =
   let pos = R.Schema.index_of (R.Relation.schema rel) attr in
-  let t = create ?order () in
-  R.Relation.iter (fun tup -> insert t tup.(pos) tup) rel;
-  t
+  R.Relation.fold (fun tup acc -> (tup.(pos), tup) :: acc) rel []
+  |> List.rev
+  |> List.stable_sort (fun (a, _) (b, _) -> V.compare a b)
+  |> of_sorted ?order
 
 let select_range index rel ~lo ~hi =
   let schema = R.Relation.schema rel in

@@ -8,7 +8,7 @@
     scans.  Deletion is {e lazy} (keys are removed from leaves without
     rebalancing, as real systems like PostgreSQL do): lookups stay
     correct, and the occupancy invariant is only guaranteed right after
-    {!of_list}/inserts. *)
+    {!of_list}/{!of_sorted}/inserts. *)
 
 type 'payload t
 
@@ -53,6 +53,15 @@ val cardinality : 'p t -> int
 val height : 'p t -> int
 
 val of_list : ?order:int -> (Relational.Value.t * 'p) list -> 'p t
+(** Inserts the entries one by one. *)
+
+val of_sorted : ?order:int -> (Relational.Value.t * 'p) list -> 'p t
+(** Bulk load from entries sorted by key (payloads under equal keys in
+    the order {!find} should return them): full leaves, the last two
+    evened out, then separator levels bottom-up.  Linear in the entries;
+    holds the same keys and payloads as {!of_list} on the same input,
+    and passes {!check_invariants}.  Raises [Invalid_argument] when the
+    keys are out of order and {!Key_type_clash} on mixed key types. *)
 
 val check_invariants : 'p t -> (unit, string) result
 (** Sorted keys, separator consistency, balanced leaf depth, and (for
@@ -63,7 +72,8 @@ val index_relation :
   Relational.Relation.t ->
   Relational.Schema.attribute ->
   Relational.Tuple.t t
-(** A secondary index: key = the attribute's value, payload = the tuple. *)
+(** A secondary index: key = the attribute's value, payload = the tuple;
+    bulk-loaded with {!of_sorted}. *)
 
 val select_range :
   Relational.Tuple.t t ->

@@ -3,7 +3,9 @@
    table "__indexes"; the index structures themselves are in-memory
    (lib/access has no paged variant yet) and are rebuilt lazily, once
    per context, from the heap — an honest trade documented in
-   docs/PLANNER.md. *)
+   docs/PLANNER.md.  A build is one pass down the table's heap chain;
+   a B+tree then sorts the (key, tuple) pairs and bulk-loads them, a
+   hash index inserts them as they come. *)
 
 module R = Relational
 
@@ -113,20 +115,29 @@ let drop eng t d =
   Hashtbl.remove t.cache (d.table, d.attr, d.kind);
   save eng t
 
+(* records decode as in Exec's heap scan: no type check, no set *)
 let build eng t d =
   match Hashtbl.find_opt t.cache (d.table, d.attr, d.kind) with
   | Some b -> b
   | None ->
-      let rel = Storage.Engine.load_table eng d.table in
+      let schema, first = Storage.Engine.table_chain eng d.table in
+      let pos = R.Schema.index_of schema d.attr in
+      let scan add =
+        Storage.Heap.iter_chain (Storage.Engine.pool eng) ~first (fun _ _ r ->
+            let tup = R.Codec.tuple_of_string r in
+            add tup.(pos) tup)
+      in
       let b =
         match d.kind with
-        | Btree -> Built_btree (Access.Btree.index_relation rel d.attr)
+        | Btree ->
+            let entries = ref [] in
+            scan (fun k tup -> entries := (k, tup) :: !entries);
+            let by_key (a, _) (b, _) = R.Value.compare a b in
+            Built_btree
+              (Access.Btree.of_sorted (List.stable_sort by_key (List.rev !entries)))
         | Hash ->
             let h = Access.Hash_index.create () in
-            let pos = R.Schema.index_of (R.Relation.schema rel) d.attr in
-            R.Relation.iter
-              (fun tup -> Access.Hash_index.insert h tup.(pos) tup)
-              rel;
+            scan (Access.Hash_index.insert h);
             Built_hash h
       in
       Hashtbl.replace t.cache (d.table, d.attr, d.kind) b;

@@ -3,7 +3,9 @@
     ["__indexes"] (managed by [db index create/drop]); the structures
     themselves are in-memory and rebuilt lazily from the heap, once per
     planning context — an honest limitation documented in
-    docs/PLANNER.md ([lib/access] has no paged variant yet). *)
+    docs/PLANNER.md ([lib/access] has no paged variant yet).  A build
+    reads each page of the table's chain once; a B+tree is then
+    bulk-loaded from the sorted keys. *)
 
 type kind = Btree | Hash
 (** The two access methods of [lib/access]: B+trees answer point and

@@ -42,6 +42,7 @@ type ctx = {
   params : Cost.params;
   config : config;
   ins : instruments;
+  pages : (string, int) Hashtbl.t;  (* chain lengths walked, per table *)
 }
 
 let make_instruments registry =
@@ -84,6 +85,7 @@ let make ?(config = default_config) eng =
         ~pool_pages:(Storage.Buffer_pool.capacity (Storage.Engine.pool eng));
     config;
     ins = make_instruments (Storage.Engine.metrics eng);
+    pages = Hashtbl.create 8;
   }
 
 let engine ctx = ctx.eng
@@ -108,16 +110,28 @@ let annotate ctx plan = Cost.annotate ctx.params ctx.stats plan
 let cheaper a b =
   if b.P.meta.P.est_cost < a.P.meta.P.est_cost then b else a
 
+(* A table's heap pages: the count ANALYZE stored, else one walk of its
+   chain per context. *)
+let table_pages ctx name =
+  match Stats.find ctx.stats name with
+  | Some tb -> tb.Stats.pages
+  | None -> (
+      match Hashtbl.find_opt ctx.pages name with
+      | Some n -> n
+      | None ->
+          let first =
+            match List.find_opt (fun (n, _, _) -> n = name) ctx.tables with
+            | Some (_, _, first) -> first
+            | None -> raise (R.Database.Unknown_relation name)
+          in
+          let n = Storage.Heap.chain_pages (Storage.Engine.pool ctx.eng) ~first in
+          Hashtbl.replace ctx.pages name n;
+          n)
+
 let scan ctx name access =
-  let first =
-    match List.find_opt (fun (n, _, _) -> n = name) ctx.tables with
-    | Some (_, _, first) -> first
-    | None -> raise (R.Database.Unknown_relation name)
-  in
-  let pages =
-    Storage.Heap.chain_pages (Storage.Engine.pool ctx.eng) ~first
-  in
-  P.make (P.Scan { table = name; access; pages }) (catalog ctx name)
+  P.make
+    (P.Scan { table = name; access; pages = table_pages ctx name })
+    (catalog ctx name)
 
 let has_index ctx table attr kind =
   List.exists

@@ -35,27 +35,31 @@ let distinct table attr =
     (fun c -> if c.attr = attr then Some c.distinct else None)
     table.columns
 
+(* One walk down the table's chain: pages counted as the walk takes
+   them (so an empty table's lone page counts, as chain_pages would),
+   rows and per-column distinct values as its records decode. *)
 let collect eng name =
-  let rel = Storage.Engine.load_table eng name in
-  let sch = R.Relation.schema rel in
-  let attrs = R.Schema.attributes sch in
-  let pages =
-    match
-      List.find_opt (fun (n, _, _) -> n = name) (Storage.Engine.table_info eng)
-    with
-    | Some (_, _, first) ->
-        Storage.Heap.chain_pages (Storage.Engine.pool eng) ~first
-    | None -> 0
+  let schema, first = Storage.Engine.table_chain eng name in
+  let attrs = R.Schema.attributes schema in
+  let seen = Array.init (List.length attrs) (fun _ -> Hashtbl.create 64) in
+  let pool = Storage.Engine.pool eng in
+  let rec walk page rows pages =
+    if page = 0 then (rows, pages)
+    else begin
+      let records, next = Storage.Heap.page_records pool page in
+      List.iter
+        (fun r ->
+          let tup = R.Codec.tuple_of_string r in
+          Array.iteri (fun i h -> Hashtbl.replace h tup.(i) ()) seen)
+        records;
+      walk next (rows + List.length records) (pages + 1)
+    end
   in
-  let n = List.length attrs in
-  let seen = Array.init n (fun _ -> Hashtbl.create 64) in
-  R.Relation.iter
-    (fun tup -> Array.iteri (fun i h -> Hashtbl.replace h tup.(i) ()) seen)
-    rel;
+  let rows, pages = walk first 0 0 in
   let columns =
     List.mapi (fun i attr -> { attr; distinct = Hashtbl.length seen.(i) }) attrs
   in
-  { rows = R.Relation.cardinality rel; pages; columns }
+  { rows; pages; columns }
 
 let to_relation t =
   let rows =

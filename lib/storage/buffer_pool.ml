@@ -162,4 +162,6 @@ let drop_clean t =
   List.iter (Hashtbl.remove t.frames) victims;
   Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames)
 
+let dirty t = Hashtbl.fold (fun _ f acc -> acc || f.dirty) t.frames false
+
 let resident t = Hashtbl.length t.frames

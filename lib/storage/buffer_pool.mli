@@ -50,6 +50,9 @@ val flush_page : t -> int -> unit
 val flush_all : t -> unit
 (** Write back dirty frames (in page-id order, for determinism). *)
 
+val dirty : t -> bool
+(** Does any frame hold changes not yet written back? *)
+
 val drop_clean : t -> unit
 (** Forget clean unpinned frames — used by tests to simulate a cold
     cache without closing the file. *)

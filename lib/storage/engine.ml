@@ -69,6 +69,9 @@ type t = {
   prepared : (int, unit) Hashtbl.t;
       (* active txns whose Prepare record is durable (2PC participants) *)
   mutable next_txn : int;
+  mutable checkpointed_at : int * int;
+      (* (WAL end, pager writes since open) just after the last
+         checkpoint; the WAL end is -1 when the log holds none *)
   mutable last_recovery : Recovery.outcome option;
   mutable read_only : bool;
   mutable degraded_reason : string option;
@@ -104,7 +107,15 @@ let checkpoint_now t =
       ignore (Wal.append t.wal Wal.Checkpoint : int);
       Wal.flush t.wal;
       Pager.set_flushed_lsn t.pager (Wal.durable_lsn t.wal);
-      Pager.sync t.pager)
+      Pager.sync t.pager;
+      t.checkpointed_at <- (Wal.next_lsn t.wal, snd (Pager.io_counts t.pager)))
+
+(* A checkpoint would add nothing: since the last one nothing was
+   appended to the log or written to the file, and every frame is clean
+   — the case of a read-only command, which so leaves the log alone. *)
+let checkpoint_needed t =
+  t.checkpointed_at <> (Wal.next_lsn t.wal, snd (Pager.io_counts t.pager))
+  || Buffer_pool.dirty t.pool
 
 let checkpoint t =
   if Hashtbl.length t.active > 0 then raise Active_transactions;
@@ -234,6 +245,10 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
       active = Hashtbl.create 16;
       prepared = Hashtbl.create 4;
       next_txn = 1;
+      checkpointed_at =
+        (match List.rev entries with
+        | { Wal.record = Wal.Checkpoint; _ } :: _ -> (Wal.next_lsn wal, 0)
+        | _ -> (-1, 0));
       last_recovery = None;
       read_only = false;
       degraded_reason = None;
@@ -286,7 +301,8 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
           the next flush, and a WAL that keeps failing degrades the
           engine to read-only at the first commit instead of making the
           database unopenable *)
-       try checkpoint_now t with Fault.Io_error _ -> ()
+       try if checkpoint_needed t then checkpoint_now t
+       with Fault.Io_error _ -> ()
      end
    with e ->
      (* a crash injected into recovery itself: release the descriptors so
@@ -306,7 +322,9 @@ let close t =
        a final flush would lie — abandon, exactly as a crash would *)
     crash t
   else begin
-    (try if Hashtbl.length t.active = 0 then checkpoint_now t
+    (try
+       if Hashtbl.length t.active = 0 && checkpoint_needed t then
+         checkpoint_now t
      with Fault.Io_error site -> degrade t site);
     if t.read_only then crash t
     else begin
@@ -477,11 +495,14 @@ let save_table t name rel =
 let table_info t =
   List.map (fun { Heap.name; schema; first } -> (name, schema, first)) (public_catalog t.pool)
 
-let load_table t name =
+let table_chain t name =
   match List.find_opt (fun tb -> tb.Heap.name = name) (Heap.catalog t.pool) with
-  | Some { Heap.schema; first; _ } ->
-      Heap.load_relation t.pool ~schema ~first
+  | Some { Heap.schema; first; _ } -> (schema, first)
   | None -> raise (Unknown_table name)
+
+let load_table t name =
+  let schema, first = table_chain t name in
+  Heap.load_relation t.pool ~schema ~first
 
 let table_names t =
   List.map (fun tb -> tb.Heap.name) (public_catalog t.pool)

@@ -59,7 +59,9 @@ val open_db :
     whole process" at its N-th durable I/O regardless of which shard
     (or the coordinator log) issues it.
     A corrupt item-store page found during the open is quarantined and
-    the item plane rebuilt from the log before recovery runs.
+    the item plane rebuilt from the log before recovery runs.  Recovery
+    ends with a checkpoint unless it changed nothing (the log already
+    ends at a checkpoint and no page is dirty).
 
     [metrics] is threaded into every layer (pager, pool, WAL, fault
     injector) and receives the engine's own [engine.*] instruments;
@@ -69,7 +71,9 @@ val open_db :
     increments on the hot paths. *)
 
 val close : t -> unit
-(** Clean shutdown: checkpoint (when quiescent) and close.  A degraded
+(** Clean shutdown: checkpoint (when quiescent, and only if anything
+    was logged, written or dirtied since the last checkpoint — a
+    read-only session appends nothing to the log) and close.  A degraded
     (read-only) engine abandons instead — its pending WAL bytes cannot
     be made durable, and restart recovery repairs from the log. *)
 
@@ -137,6 +141,11 @@ val load_table : t -> string -> Relational.Relation.t
 (** Raises {!Unknown_table}.  Unlike the enumeration APIs below this
     also resolves {!reserved} names, which is how the planner reaches
     its bookkeeping tables. *)
+
+val table_chain : t -> string -> Relational.Schema.t * int
+(** A table's schema and the first page of its tuple chain, for callers
+    that stream the chain themselves ({!Heap.iter_chain}); resolves
+    {!reserved} names like {!load_table}.  Raises {!Unknown_table}. *)
 
 val reserved : string -> bool
 (** Whether a table name is reserved for engine-internal state (a

@@ -1,7 +1,8 @@
 (* Edge cases for the access methods that the main suites skirt around:
    B+tree deletion interacting with the leaf chain and range scans,
-   duplicate-key payload ordering, the single-type-per-tree guard, and
-   extendible-hash directory growth under skew. *)
+   duplicate-key payload ordering, the single-type-per-tree guard,
+   bulk loading against incremental inserts, and extendible-hash
+   directory growth under skew and at depth. *)
 
 module V = Relational.Value
 
@@ -158,6 +159,95 @@ let prop_hash_depth_monotone =
              ok)
            ops))
 
+(* --- bulk loading --------------------------------------------------------- *)
+
+let btree_items t =
+  let out = ref [] in
+  Access.Btree.iter (fun k ps -> out := (k, ps) :: !out) t;
+  List.rev !out
+
+let items_testable =
+  Alcotest.(list (pair (testable V.pp V.equal) (list int)))
+
+(* [of_sorted] on the stably sorted entries holds what inserting them one
+   by one holds, payload order under a key included *)
+let prop_btree_of_sorted_matches_inserts =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"btree of_sorted matches inserts"
+       QCheck2.Gen.(
+         pair (int_range 3 64)
+           (oneof
+              [
+                list_size (int_range 0 400) (int_range 0 12);
+                list_size (int_range 0 400) (int_range 0 1000);
+                list_size (int_range 0 2) (int_range 0 5);
+              ]))
+       (fun (order, keys) ->
+         let entries = List.mapi (fun i k -> (vi k, i)) keys in
+         let sorted =
+           List.stable_sort (fun (a, _) (b, _) -> V.compare a b) entries
+         in
+         let bulk = Access.Btree.of_sorted ~order sorted in
+         let inserted = Access.Btree.of_list ~order entries in
+         btree_items bulk = btree_items inserted
+         && Access.Btree.check_invariants bulk = Ok ()
+         && Access.Btree.check_invariants inserted = Ok ()))
+
+let test_btree_of_sorted_edges () =
+  let empty = Access.Btree.of_sorted ~order:4 [] in
+  Alcotest.check items_testable "empty" [] (btree_items empty);
+  Alcotest.(check (list int)) "empty find" [] (Access.Btree.find empty (vi 1));
+  let one = Access.Btree.of_sorted ~order:4 [ (vi 7, 1); (vi 7, 2) ] in
+  Alcotest.check items_testable "one key" [ (vi 7, [ 1; 2 ]) ] (btree_items one);
+  Alcotest.(check int) "one leaf" 1 (Access.Btree.height one);
+  (* order-3 leaves hold 3 keys: 10 keys are 2 full leaves plus 4 keys
+     shared 2 + 2, never a lone underfull last leaf *)
+  let ten = Access.Btree.of_sorted ~order:3 (List.init 10 (fun i -> (vi i, i))) in
+  (match Access.Btree.check_invariants ten with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("invariants after bulk load: " ^ e));
+  Alcotest.(check (list int)) "range across leaves" [ 2; 3; 4; 5; 6 ]
+    (List.concat_map snd (Access.Btree.range ten ~lo:(vi 2) ~hi:(vi 6)));
+  Alcotest.check_raises "unsorted input"
+    (Invalid_argument "Btree.of_sorted: keys out of order") (fun () ->
+      ignore (Access.Btree.of_sorted [ (vi 2, 0); (vi 1, 0) ] : int Access.Btree.t));
+  Alcotest.(check bool) "mixed key types" true
+    (match Access.Btree.of_sorted [ (vi 1, 0); (V.String "a", 0) ] with
+    | _ -> false
+    | exception Access.Btree.Key_type_clash _ -> true)
+
+(* A directory deep enough that a split rewriting every slot would be
+   quadratic; contents checked against a reference map. *)
+let test_hash_deep_directory () =
+  let module M = Map.Make (Int) in
+  let h = Access.Hash_index.create () in
+  let reference = ref M.empty in
+  let n = 12_000 in
+  for i = 0 to n - 1 do
+    (* every 16th key three times, so payload lists grow too *)
+    let copies = if i mod 16 = 0 then 3 else 1 in
+    for c = 1 to copies do
+      let payload = (i * 10) + c in
+      Access.Hash_index.insert h (vi i) payload;
+      reference :=
+        M.update i
+          (function None -> Some [ payload ] | Some ps -> Some (ps @ [ payload ]))
+          !reference
+    done
+  done;
+  Alcotest.(check bool) "directory depth >= 14" true
+    (Access.Hash_index.global_depth h >= 14);
+  (match Access.Hash_index.check_invariants h with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("hash invariants at depth: " ^ e));
+  Alcotest.(check int) "cardinality" n (Access.Hash_index.cardinality h);
+  M.iter
+    (fun k ps ->
+      if Access.Hash_index.find h (vi k) <> ps then
+        Alcotest.failf "find %d differs from the reference" k)
+    !reference;
+  Alcotest.(check (list int)) "absent key" [] (Access.Hash_index.find h (vi n))
+
 let suite =
   [
     Alcotest.test_case "btree delete then range" `Quick test_btree_delete_then_range;
@@ -169,4 +259,7 @@ let suite =
     Alcotest.test_case "hash duplicates and delete" `Quick
       test_hash_duplicates_and_delete;
     prop_hash_depth_monotone;
+    prop_btree_of_sorted_matches_inserts;
+    Alcotest.test_case "btree of_sorted edges" `Quick test_btree_of_sorted_edges;
+    Alcotest.test_case "hash deep directory" `Quick test_hash_deep_directory;
   ]

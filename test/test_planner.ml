@@ -1,8 +1,9 @@
 (* Tests for the physical planner: statistics collection and
    persistence, the secondary-index catalog, access-path selection,
-   EXPLAIN rendering, the Volcano executor against Eval.eval (fixed
-   cases and the QCheck equivalence property, with and without
-   indexes), join-algorithm forcing, and sort spill. *)
+   EXPLAIN rendering, the page traffic of planning and index builds, the
+   Volcano executor against Eval.eval (fixed cases and the QCheck
+   equivalence property, with and without indexes), join-algorithm
+   forcing, and sort spill. *)
 
 module R = Relational
 module A = R.Algebra
@@ -368,6 +369,85 @@ let test_actuals_and_counters () =
       Alcotest.(check (option int)) "index path counted" (Some 1)
         (Obs.Registry.counter_value metrics "plan.index_scans"))
 
+(* --- page traffic of planning and index builds ---------------------------- *)
+
+(* Buffer-pool fetches (hits + misses) made by [f]: every page a walk
+   visits, warm or cold. *)
+let fetches eng f =
+  let st = Storage.Buffer_pool.stats (Storage.Engine.pool eng) in
+  let before = st.Storage.Buffer_pool.hits + st.Storage.Buffer_pool.misses in
+  let x = f () in
+  (x, st.Storage.Buffer_pool.hits + st.Storage.Buffer_pool.misses - before)
+
+let test_plan_and_build_page_reads () =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db ~pool_size:4 path in
+  Fun.protect
+    ~finally:(fun () ->
+      Storage.Engine.close eng;
+      cleanup path)
+    (fun () ->
+      let schema = R.Schema.make [ ("k", TInt); ("v", TString) ] in
+      let big =
+        R.Relation.of_list schema
+          (List.init 2000 (fun i -> [ Int (i mod 700); String (string_of_int i) ]))
+      in
+      Storage.Engine.save_table eng "big" big;
+      let first =
+        match Storage.Engine.table_info eng with
+        | [ (_, _, first) ] -> first
+        | _ -> Alcotest.fail "expected one table"
+      in
+      let pages = Storage.Heap.chain_pages (Storage.Engine.pool eng) ~first in
+      Alcotest.(check bool) "table spans many pages" true (pages > 8);
+      let idx = Planner.Indexes.load eng in
+      Planner.Indexes.create eng idx
+        { Planner.Indexes.table = "big"; attr = "k"; kind = Btree };
+      Planner.Indexes.create eng idx
+        { Planner.Indexes.table = "big"; attr = "k"; kind = Hash };
+      (* scans big four times: two sides of a self-join, each a full
+         scan plus two index candidates *)
+      let q =
+        let side = A.Select (A.Cmp (A.Eq, A.Attr "k", A.Const (Int 5)), A.Rel "big") in
+        A.Join (side, side)
+      in
+      let config =
+        { Planner.Plan.default_config with optimize = false; semantic = false }
+      in
+      (* no statistics: one walk of the chain per context *)
+      let ctx = Planner.Plan.make ~config eng in
+      let _, n = fetches eng (fun () -> Planner.Plan.plan ctx q) in
+      Alcotest.(check int) "without stats: one walk" pages n;
+      let _, n = fetches eng (fun () -> Planner.Plan.plan ctx q) in
+      Alcotest.(check int) "without stats: memoized" 0 n;
+      (* with statistics: no page read at all *)
+      ignore (Planner.Stats.analyze eng [ "big" ] : Planner.Stats.t);
+      let ctx = Planner.Plan.make ~config eng in
+      let plan, n = fetches eng (fun () -> Planner.Plan.plan ctx q) in
+      Alcotest.(check int) "with stats: no reads" 0 n;
+      (match Planner.Stats.find (Planner.Plan.stats ctx) "big" with
+      | Some tb -> Alcotest.(check int) "stats pages" pages tb.Planner.Stats.pages
+      | None -> Alcotest.fail "no stats for big");
+      (* each index build reads every chain page exactly once, after
+         looking the table up in the catalog *)
+      let _, catalog = fetches eng (fun () -> Storage.Engine.table_info eng) in
+      let idx = Planner.Plan.indexes ctx in
+      let _, n =
+        fetches eng (fun () -> Planner.Indexes.btree eng idx ~table:"big" ~attr:"k")
+      in
+      Alcotest.(check int) "btree build: one pass" (catalog + pages) n;
+      let _, n =
+        fetches eng (fun () -> Planner.Indexes.hash eng idx ~table:"big" ~attr:"k")
+      in
+      Alcotest.(check int) "hash build: one pass" (catalog + pages) n;
+      let _, n =
+        fetches eng (fun () -> Planner.Indexes.btree eng idx ~table:"big" ~attr:"k")
+      in
+      Alcotest.(check int) "built once per context" 0 n;
+      check_rel "planned self-join matches eval"
+        (R.Eval.eval (R.Database.add R.Database.empty "big" big) q)
+        (Planner.Exec.run ctx plan))
+
 (* --- the QCheck equivalence property -------------------------------------- *)
 
 let property count name gen law =
@@ -585,6 +665,8 @@ let suite =
       test_merge_join_uses_index_order;
     Alcotest.test_case "sort spill" `Quick test_sort_spill;
     Alcotest.test_case "actuals and counters" `Quick test_actuals_and_counters;
+    Alcotest.test_case "plan and index build page reads" `Quick
+      test_plan_and_build_page_reads;
     Alcotest.test_case "join elimination (fixed)" `Quick
       test_join_elimination_fixed;
     Alcotest.test_case "certify (fixed)" `Quick test_certify_fixed;

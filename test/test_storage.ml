@@ -423,6 +423,42 @@ let test_engine_commit_persists () =
   Storage.Engine.close eng;
   cleanup path
 
+(* Read-only sessions leave the log alone: after the first clean close,
+   opening, reading (items and a table) and closing appends nothing. *)
+let test_read_only_sessions_leave_wal () =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  let t1 = Storage.Engine.begin_txn eng in
+  Storage.Engine.write eng ~txn:t1 "x" 5;
+  Storage.Engine.commit eng ~txn:t1;
+  Storage.Engine.save_table eng "t"
+    (Relational.Relation.of_list
+       (Relational.Schema.make [ ("a", V.TInt) ])
+       [ [ V.Int 1 ]; [ V.Int 2 ] ]);
+  Storage.Engine.close eng;
+  let wal_size () = (Unix.stat (Storage.Engine.wal_path path)).Unix.st_size in
+  let size = wal_size () in
+  for i = 1 to 5 do
+    let eng = Storage.Engine.open_db path in
+    Alcotest.(check int) "x" 5 (Storage.Engine.read eng "x");
+    Alcotest.(check int) "table rows" 2
+      (Relational.Relation.cardinality (Storage.Engine.load_table eng "t"));
+    Storage.Engine.close eng;
+    Alcotest.(check int) (Printf.sprintf "wal size after session %d" i) size
+      (wal_size ())
+  done;
+  (* a write still checkpoints on close *)
+  let eng = Storage.Engine.open_db path in
+  let t2 = Storage.Engine.begin_txn eng in
+  Storage.Engine.write eng ~txn:t2 "x" 6;
+  Storage.Engine.commit eng ~txn:t2;
+  Storage.Engine.close eng;
+  Alcotest.(check bool) "a writing session grows the log" true (wal_size () > size);
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check int) "x after reopen" 6 (Storage.Engine.read eng "x");
+  Storage.Engine.close eng;
+  cleanup path
+
 let test_engine_abort_restores () =
   let path = fresh_path () in
   let eng = Storage.Engine.open_db path in
@@ -916,6 +952,8 @@ let suite =
     Alcotest.test_case "heap many pages" `Quick test_heap_many_pages;
     Alcotest.test_case "heap replace table" `Quick test_heap_replace_table;
     Alcotest.test_case "engine commit persists" `Quick test_engine_commit_persists;
+    Alcotest.test_case "read-only sessions leave the wal" `Quick
+      test_read_only_sessions_leave_wal;
     Alcotest.test_case "engine abort restores" `Quick test_engine_abort_restores;
     Alcotest.test_case "engine strict locks" `Quick test_engine_strict_locks;
     Alcotest.test_case "engine crash loses uncommitted" `Quick
