@@ -431,6 +431,14 @@ let wal_audit ?(label = "wal audit") path code =
     max code (Analysis.Diagnostic.exit_code diags)
   end
 
+(* [wal_audit] over the [n] logs of a sharded database or replication
+   group, [what] naming the member in each label. *)
+let wal_audits what path_of n code =
+  List.fold_left
+    (fun code k ->
+      wal_audit ~label:(Printf.sprintf "%s %d wal audit" what k) (path_of k) code)
+    code (List.init n Fun.id)
+
 let report_repair eng =
   match Storage.Engine.last_repair eng with
   | Some { Storage.Engine.quarantined; replayed } ->
@@ -725,113 +733,145 @@ let db_recover_run path verify_wal shards metrics =
       Distributed.Coordinator.close coord;
       let code =
         if verify_wal then
-          List.fold_left
-            (fun code k ->
-              wal_audit
-                ~label:(Printf.sprintf "shard %d wal audit" k)
-                (Distributed.Coordinator.shard_path path k)
-                code)
-            0 (List.init n Fun.id)
+          wal_audits "shard" (Distributed.Coordinator.shard_path path) n 0
         else 0
       in
       dump_metrics metrics registry;
       code
 
-(* The sharded variant of [db exec]: same workload generator, but the
-   programs run against a 2PC coordinator over N engines instead of one.
-   Returns the exit code; printing mirrors the single-node path so the
-   two reports read side by side. *)
-let db_exec_dist path n ~txns ~seed spec crash_after timeout verify verify_wal
-    registry trace programs =
+(* What [db exec] drives — one engine, or a 2PC coordinator over
+   [--shards] engines — and what its report adds to the scheduler's
+   summary.  [fields] is read as the run leaves the target, before the
+   close: the backend's own counters for the committed line and the
+   throughput line, and any note to print after them. *)
+type exec_target = {
+  backend : Storage.Executor.backend;
+  close : unit -> unit;
+  fields : Storage.Executor.stats -> string * string * string;
+  recover_hint : string;
+  degraded_note : unit -> string;
+  model_divergence : unit -> ((string * int) list * (string * int) list) option;
+  audit : int -> int;  (* [--verify-wal], folding into the exit code *)
+}
+
+let engine_target path spec crash_after registry trace =
+  let eng =
+    Storage.Engine.open_db ?crash_after ?faults:spec ~metrics:registry ~trace
+      path
+  in
+  {
+    backend = Storage.Executor.engine_backend eng;
+    close = (fun () -> Storage.Engine.close eng);
+    fields =
+      (fun _ ->
+        ( Printf.sprintf "repairs %d  io-retries %d" (Storage.Engine.repairs eng)
+            (Storage.Engine.io_retries eng), "", "" ));
+    recover_hint =
+      Printf.sprintf
+        "run 'dbmeta db recover %s' (or any other db command) to repair the \
+         database"
+        path;
+    degraded_note =
+      (fun () ->
+        Printf.sprintf
+          "engine degraded to read-only: %s; unresolved transactions are in \
+           doubt and will be aborted by restart recovery"
+          (Option.value ~default:"unflushable wal"
+             (Storage.Engine.degraded_reason eng)));
+    model_divergence = (fun () -> Storage.Executor.model_divergence ~path);
+    audit = wal_audit path;
+  }
+
+let shard_target path n spec crash_after registry trace =
+  let module C = Distributed.Coordinator in
   if n <= 0 then
     invalid_arg (Printf.sprintf "--shards must be positive, got %d" n);
-  match
-    Distributed.Coordinator.open_dist ~shards:n ?faults:spec ?crash_after
-      ~metrics:registry ~trace path
-  with
-  | exception Storage.Fault.Crash at -> dist_crash_message path n at
-  | coord ->
-      let completed, presumed = Distributed.Coordinator.resolved coord in
-      if completed + presumed > 0 then
-        Printf.printf
-          "resolution: %d in-doubt transaction(s) — %d completed, %d \
-           presumed aborted\n"
-          (completed + presumed) completed presumed;
-      let config =
-        { Distributed.Executor.default_config with seed; lock_timeout = timeout }
-      in
-      let stats = Distributed.Executor.run ~config coord programs in
-      if stats.Distributed.Executor.crashed = None then (
-        try Distributed.Coordinator.close coord
-        with Storage.Fault.Crash at ->
-          Distributed.Coordinator.crash coord;
-          Printf.printf "simulated crash at close: %s\n" at);
-      Printf.printf
-        "committed %d/%d  restarts %d  deadlocks %d  timeouts %d  \
-         commit-aborts %d\n"
-        stats.Distributed.Executor.committed txns
-        stats.Distributed.Executor.restarts
-        stats.Distributed.Executor.deadlocks
-        stats.Distributed.Executor.timeouts
-        stats.Distributed.Executor.commit_aborts;
-      Printf.printf
-        "throughput: %.4f commits/step (%d steps, %d wasted ops, %d net \
-         ticks)\n"
-        (Distributed.Executor.throughput stats)
-        stats.Distributed.Executor.steps
-        stats.Distributed.Executor.wasted_ops
-        (Distributed.Coordinator.net_ticks coord);
-      if stats.Distributed.Executor.stranded > 0 then
-        Printf.printf
-          "stranded: %d decision(s) undelivered; their locks stay held and \
-           restart recovery will complete them\n"
-          stats.Distributed.Executor.stranded;
-      let code =
-        match stats.Distributed.Executor.crashed with
-        | Some { Storage.Fault.site; io_index } ->
-            Printf.printf "simulated crash at: %s (io %d)\n" site io_index;
-            Printf.printf
-              "run 'dbmeta db recover %s --shards=%d' to resolve in-doubt \
-               transactions and repair the shards\n"
-              path n;
-            0
-        | None ->
-            if stats.Distributed.Executor.degraded then begin
-              Printf.printf
-                "coordinator or shard degraded to read-only; unresolved \
-                 transactions are in doubt and will be settled by restart \
-                 recovery\n";
-              1
-            end
-            else if stats.Distributed.Executor.committed = txns then 0
-            else 1
-      in
-      let code =
-        if verify then
-          match Distributed.Coordinator.model_divergence ~path with
-          | None ->
-              print_endline "model check: ok";
-              code
-          | Some (expected, actual) ->
-              let show kv =
-                String.concat ", "
-                  (List.map (fun (i, v) -> Printf.sprintf "%s=%d" i v) kv)
-              in
-              Printf.printf
-                "model check: DIVERGED\n  expected: %s\n  actual:   %s\n"
-                (show expected) (show actual);
-              1
-        else code
-      in
-      if verify_wal then
-        List.fold_left
-          (fun code k ->
-            wal_audit
-              ~label:(Printf.sprintf "shard %d wal audit" k)
-              (Distributed.Coordinator.shard_path path k)
-              code)
-          code (List.init n Fun.id)
-      else code
+  let coord =
+    C.open_dist ~shards:n ?faults:spec ?crash_after ~metrics:registry ~trace
+      path
+  in
+  let completed, presumed = C.resolved coord in
+  if completed + presumed > 0 then
+    Printf.printf
+      "resolution: %d in-doubt transaction(s) — %d completed, %d presumed \
+       aborted\n"
+      (completed + presumed) completed presumed;
+  {
+    backend = C.backend coord;
+    close = (fun () -> C.close coord);
+    fields =
+      (fun stats ->
+        let stranded = List.length (C.stranded_txns coord) in
+        ( Printf.sprintf "commit-aborts %d" stats.Storage.Executor.commit_aborts,
+          Printf.sprintf ", %d net ticks" (C.net_ticks coord),
+          if stranded = 0 then ""
+          else
+            Printf.sprintf
+              "stranded: %d decision(s) undelivered; their locks stay held \
+               and restart recovery will complete them\n"
+              stranded ));
+    recover_hint =
+      Printf.sprintf
+        "run 'dbmeta db recover %s --shards=%d' to resolve in-doubt \
+         transactions and repair the shards"
+        path n;
+    degraded_note =
+      (fun () ->
+        "coordinator or shard degraded to read-only; unresolved transactions \
+         are in doubt and will be settled by restart recovery");
+    model_divergence = (fun () -> C.model_divergence ~path);
+    audit = wal_audits "shard" (C.shard_path path) n;
+  }
+
+(* Run the workload through the SS2PL scheduler and report; returns the
+   exit code. *)
+let db_exec_scheduled target ~txns ~seed timeout verify verify_wal programs =
+  let module X = Storage.Executor in
+  let config = { X.default_config with seed; lock_timeout = timeout } in
+  let stats = X.run_on ~config target.backend programs in
+  let counts, ticks, note = target.fields stats in
+  if stats.X.crashed = None then (
+    try target.close ()
+    with Storage.Fault.Crash at ->
+      target.backend.X.crash ();
+      Printf.printf "simulated crash at close: %s\n" at);
+  Printf.printf "committed %d/%d  restarts %d  deadlocks %d  timeouts %d  %s\n"
+    stats.X.committed txns stats.X.restarts stats.X.deadlocks stats.X.timeouts
+    counts;
+  Printf.printf "throughput: %.4f commits/step (%d steps, %d wasted ops%s)\n"
+    (X.throughput stats) stats.X.steps stats.X.wasted_ops ticks;
+  print_string note;
+  let code =
+    match stats.X.crashed with
+    | Some { Storage.Fault.site; io_index } ->
+        Printf.printf "simulated crash at: %s (io %d)\n" site io_index;
+        print_endline target.recover_hint;
+        0
+    | None ->
+        if stats.X.degraded then begin
+          print_endline (target.degraded_note ());
+          1
+        end
+        else if stats.X.committed = txns then 0
+        else 1
+  in
+  let code =
+    if verify then
+      match target.model_divergence () with
+      | None ->
+          print_endline "model check: ok";
+          code
+      | Some (expected, actual) ->
+          let show kv =
+            String.concat ", "
+              (List.map (fun (i, v) -> Printf.sprintf "%s=%d" i v) kv)
+          in
+          Printf.printf "model check: DIVERGED\n  expected: %s\n  actual:   %s\n"
+            (show expected) (show actual);
+          1
+    else code
+  in
+  if verify_wal then target.audit code else code
 
 (* The replicated variant of [db exec]: the workload runs sequentially
    against a primary that ships its WAL to N replicas after every
@@ -911,14 +951,8 @@ let db_exec_repl path n sync ~txns spec crash_after verify_wal registry trace
         | None, None -> if !acked + !local = txns then 0 else 1
       in
       if verify_wal then
-        List.fold_left
-          (fun code k ->
-            wal_audit
-              ~label:(Printf.sprintf "node %d wal audit" k)
-              (Replication.Repl_meta.node_path path k)
-              code)
-          code
-          (List.init (G.node_count g) Fun.id)
+        wal_audits "node" (Replication.Repl_meta.node_path path)
+          (G.node_count g) code
       else code
 
 let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
@@ -952,75 +986,27 @@ let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
     match (shards, replicas) with
     | Some _, Some _ ->
         invalid_arg "--shards and --replicas are mutually exclusive"
-    | Some n, None ->
-        db_exec_dist path n ~txns ~seed spec crash_after timeout verify
-          verify_wal registry trace programs
+    | None, Some _ when verify || timeout <> None ->
+        invalid_arg
+          ((if verify then "--verify" else "--timeout")
+          ^ " and --replicas are mutually exclusive (the replicated run is \
+             a sequential loop: no locks, no model check)")
     | None, Some n ->
         db_exec_repl path n sync_mode ~txns spec crash_after verify_wal
           registry trace programs
-    | None, None -> (
-    match
-      Storage.Engine.open_db ?crash_after ?faults:spec ~metrics:registry
-        ~trace path
-    with
-    | exception Storage.Fault.Crash at -> crash_message path at
-    | eng ->
-        let config =
-          { Storage.Executor.default_config with seed; lock_timeout = timeout }
-        in
-        let stats = Storage.Executor.run ~config eng programs in
-        if stats.Storage.Executor.crashed = None then (
-          try Storage.Engine.close eng
-          with Storage.Fault.Crash at ->
-            Storage.Engine.crash eng;
-            Printf.printf "simulated crash at close: %s\n" at);
-        Printf.printf
-          "committed %d/%d  restarts %d  deadlocks %d  timeouts %d  repairs \
-           %d  io-retries %d\n"
-          stats.Storage.Executor.committed txns stats.Storage.Executor.restarts
-          stats.Storage.Executor.deadlocks stats.Storage.Executor.timeouts
-          stats.Storage.Executor.repairs stats.Storage.Executor.io_retries;
-        Printf.printf "throughput: %.4f commits/step (%d steps, %d wasted ops)\n"
-          (Storage.Executor.throughput stats)
-          stats.Storage.Executor.steps stats.Storage.Executor.wasted_ops;
-        let code =
-          match stats.Storage.Executor.crashed with
-          | Some { Storage.Fault.site; io_index } ->
-              Printf.printf "simulated crash at: %s (io %d)\n" site io_index;
-              Printf.printf
-                "run 'dbmeta db recover %s' (or any other db command) to \
-                 repair the database\n"
-                path;
-              0
-          | None ->
-              if stats.Storage.Executor.degraded then begin
-                Printf.printf
-                  "engine degraded to read-only: %s; unresolved transactions \
-                   are in doubt and will be aborted by restart recovery\n"
-                  (Option.value ~default:"unflushable wal"
-                     (Storage.Engine.degraded_reason eng));
-                1
-              end
-              else if stats.Storage.Executor.committed = txns then 0
-              else 1
-        in
-        let code =
-        if verify then
-          match Storage.Executor.model_divergence ~path with
-          | None ->
-              print_endline "model check: ok";
-              code
-          | Some (expected, actual) ->
-              let show kv =
-                String.concat ", "
-                  (List.map (fun (i, v) -> Printf.sprintf "%s=%d" i v) kv)
-              in
-              Printf.printf "model check: DIVERGED\n  expected: %s\n  actual:   %s\n"
-                (show expected) (show actual);
-              1
-        else code
-        in
-        if verify_wal then wal_audit path code else code)
+    | _, None -> (
+        match
+          match shards with
+          | None -> engine_target path spec crash_after registry trace
+          | Some n -> shard_target path n spec crash_after registry trace
+        with
+        | exception Storage.Fault.Crash at -> (
+            match shards with
+            | None -> crash_message path at
+            | Some n -> dist_crash_message path n at)
+        | target ->
+            db_exec_scheduled target ~txns ~seed timeout verify verify_wal
+              programs)
   in
   (match trace_file with
   | None -> ()
@@ -1418,13 +1404,16 @@ let db_exec_cmd =
   let timeout =
     Arg.(value & opt (some int) None & info [ "timeout" ] ~docv:"T"
            ~doc:"Lock-wait timeout in scheduler rounds (deadlocks are \
-                 detected either way; this also bounds ordinary waits).")
+                 detected either way; this also bounds ordinary waits).  \
+                 Not with $(b,--replicas), whose sequential run takes no \
+                 locks.")
   in
   let verify =
     Arg.(value & flag & info [ "verify" ]
            ~doc:"After the run, reopen the database and check its \
                  committed state against the Transactions.Recovery model \
-                 of the surviving log.")
+                 of the surviving log.  Not with $(b,--replicas), which \
+                 has no model check ($(b,--verify-wal) audits its logs).")
   in
   let verify_wal =
     Arg.(value & flag & info [ "verify-wal" ]
@@ -1714,10 +1703,12 @@ let registered_metric_names () =
   Storage.Fault.arm fault 0;
   (try Storage.Fault.io fault ~at:"wal flush" ~on_crash:(fun () -> ())
    with Storage.Fault.Crash _ -> ());
-  (* pager/pool/wal/engine register at open; lock.*/exec.* at run *)
-  let path = Filename.temp_file "dbmeta-lint-metrics" ".db" in
-  Sys.remove path;
-  let eng = Storage.Engine.open_db ~metrics:registry path in
+  (* pager/pool/wal/engine and 2pc.* register at open (the coordinator
+     opens its shard engine on the same registry); lock.*/exec.* at run *)
+  let module C = Distributed.Coordinator in
+  let base = Filename.temp_file "dbmeta-lint-metrics" ".dist" in
+  Sys.remove base;
+  let coord = C.open_dist ~shards:1 ~metrics:registry base in
   let programs =
     Transactions.Workload.generate (Support.Rng.create 0)
       {
@@ -1731,25 +1722,18 @@ let registered_metric_names () =
   let config =
     { Storage.Executor.default_config with lock_timeout = Some 8 }
   in
-  ignore (Storage.Executor.run ~config eng programs : Storage.Executor.stats);
+  ignore
+    (Storage.Executor.run_on ~config (C.backend coord) programs
+      : Storage.Executor.stats);
   (* plan.*: the planner registers its counters at context creation *)
-  ignore (Planner.Plan.make eng : Planner.Plan.ctx);
-  Storage.Engine.close eng;
-  (try Sys.remove path with Sys_error _ -> ());
-  (try Sys.remove (Storage.Engine.wal_path path) with Sys_error _ -> ());
-  (* 2pc.*: the coordinator and its message layer register at open *)
-  let base = Filename.temp_file "dbmeta-lint-metrics" ".dist" in
-  Sys.remove base;
-  let coord =
-    Distributed.Coordinator.open_dist ~shards:1 ~metrics:registry base
-  in
-  Distributed.Coordinator.close coord;
+  ignore (Planner.Plan.make (C.shard coord 0) : Planner.Plan.ctx);
+  C.close coord;
   List.iter
     (fun f -> try Sys.remove f with Sys_error _ -> ())
     [
-      Distributed.Coordinator.coord_path base;
-      Distributed.Coordinator.shard_path base 0;
-      Storage.Engine.wal_path (Distributed.Coordinator.shard_path base 0);
+      C.coord_path base;
+      C.shard_path base 0;
+      Storage.Engine.wal_path (C.shard_path base 0);
     ];
   (* repl.*: the group, its replicas, and its shipping channel register
      at open; one commit exercises the quorum path *)

@@ -590,6 +590,28 @@ let nudge t =
         Coord_log.append t.log (Coord_log.Forget txn))
     !finished
 
+(* --- the executor's backend ----------------------------------------------- *)
+
+(* The scheduler's one lock manager serializes the global item space
+   (items are globally named, so cross-shard conflicts are real). *)
+let backend t =
+  {
+    Storage.Executor.begin_txn = (fun () -> begin_txn t);
+    read = (fun item -> ignore (read t item : int));
+    write = (fun ~txn item value -> write t ~txn item value);
+    abort = (fun ~txn -> abort t ~txn);
+    commit =
+      (fun ~txn ->
+        match commit t ~txn with Committed -> `Committed | Aborted _ -> `Aborted);
+    stranded = is_stranded t;
+    round = (fun () -> nudge t);
+    crash = (fun () -> crash t);
+    degraded = (fun () -> degraded t);
+    fault = t.fault;
+    metrics = Engine.metrics t.shards.(0);
+    trace = t.trace;
+  }
+
 (* --- the model check ----------------------------------------------------- *)
 
 (* Expected state: Recovery.committed_state over the concatenated shard

@@ -137,6 +137,11 @@ val degraded : t -> bool
 val coordinator_degraded : t -> bool
 (** Has the coordinator log itself degraded? *)
 
+val backend : t -> Storage.Executor.backend
+(** The {!Storage.Executor} scheduler's view of the coordinator: commit
+    runs the protocol above (and can decide abort), [stranded] is
+    {!is_stranded}, and the per-round hook is {!nudge}. *)
+
 val model_divergence : path:string -> ((string * int) list * (string * int) list) option
 (** The distributed atomicity check.  Expected state is
     {!Transactions.Recovery.committed_state} over the concatenation of

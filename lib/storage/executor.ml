@@ -1,8 +1,40 @@
-(* Round-robin SS2PL executor over the engine; see the .mli for the
-   policy discussion.  The structure deliberately parallels
-   Transactions.Simulation.run so the two drivers can be compared. *)
+(* Round-robin SS2PL executor over a backend (one engine, or a 2PC
+   coordinator over shards); see the .mli for the policy discussion.
+   The structure deliberately parallels Transactions.Simulation.run so
+   the two drivers can be compared. *)
 
 module Schedule = Transactions.Schedule
+
+type backend = {
+  begin_txn : unit -> int;
+  read : string -> unit;
+  write : txn:int -> string -> int -> unit;
+  abort : txn:int -> unit;
+  commit : txn:int -> [ `Committed | `Aborted ];
+  stranded : int -> bool;
+  round : unit -> unit;
+  crash : unit -> unit;
+  degraded : unit -> bool;
+  fault : Fault.t;
+  metrics : Obs.Registry.t;
+  trace : Obs.Trace.t;
+}
+
+let engine_backend eng =
+  {
+    begin_txn = (fun () -> Engine.begin_txn eng);
+    read = (fun item -> ignore (Engine.read eng item : int));
+    write = (fun ~txn item v -> Engine.write eng ~txn item v);
+    abort = (fun ~txn -> Engine.abort eng ~txn);
+    commit = (fun ~txn -> Engine.commit eng ~txn; `Committed);
+    stranded = (fun _ -> false);
+    round = ignore;
+    crash = (fun () -> Engine.crash eng);
+    degraded = (fun () -> Engine.read_only eng);
+    fault = Engine.fault eng;
+    metrics = Engine.metrics eng;
+    trace = Engine.trace eng;
+  }
 
 type config = {
   max_steps : int;
@@ -19,10 +51,9 @@ type stats = {
   restarts : int;
   deadlocks : int;
   timeouts : int;
+  commit_aborts : int;
   steps : int;
   wasted_ops : int;
-  repairs : int;
-  io_retries : int;
   degraded : bool;
   crashed : Fault.crash_info option;
 }
@@ -43,7 +74,7 @@ let victim_pref ~age a b =
 type slot = {
   base : int;
   program : Schedule.action array;
-  mutable txn : int option;  (* engine transaction id, fresh per incarnation *)
+  mutable txn : int option;  (* backend transaction id, fresh per incarnation *)
   mutable incarnation : int;
   mutable pc : int;
   mutable finished : bool;
@@ -51,17 +82,17 @@ type slot = {
   mutable started_ns : int;  (* incarnation start, for the txn trace event *)
 }
 
-let run ?(config = default_config) eng specs =
+let run_on ?(config = default_config) (b : backend) specs =
   let rng = Support.Rng.create config.seed in
-  let metrics = Engine.metrics eng in
-  let trace = Engine.trace eng in
+  let metrics = b.metrics and trace = b.trace in
   let counter = Obs.Registry.counter metrics in
   let m_steps =
     counter ~unit:"attempts" ~help:"operation attempts (scheduler steps)"
       "exec.steps"
   in
   let m_restarts =
-    counter ~unit:"restarts" ~help:"victim aborts (deadlock + timeout)"
+    counter ~unit:"restarts"
+      ~help:"victim aborts (deadlock + timeout) and 2PC decided aborts"
       "exec.restarts"
   in
   let m_deadlocks =
@@ -121,51 +152,57 @@ let run ?(config = default_config) eng specs =
   let restarts = ref 0 in
   let deadlocks = ref 0 in
   let timeouts = ref 0 in
+  let commit_aborts = ref 0 in
   let wasted = ref 0 in
   let committed = ref 0 in
   let stopped = ref false in
   (* unique written values make the log's committed projection sharp *)
   let next_value = ref 0 in
+  (* finished txns whose decision is stranded keep their locks until
+     every participant has the decision *)
+  let deferred = ref [] in
   let ensure_started slot =
     match slot.txn with
     | Some id -> id
     | None ->
-        let id = Engine.begin_txn eng in
+        let id = b.begin_txn () in
         slot.txn <- Some id;
         slot.started_ns <- Obs.Trace.now trace;
         Hashtbl.replace by_txn id slot;
         id
   in
   let retire slot id =
-    Lock_manager.release_all lm ~txn:id;
+    if b.stranded id then deferred := id :: !deferred
+    else Lock_manager.release_all lm ~txn:id;
     Hashtbl.remove by_txn id;
     slot.txn <- None
   in
-  let restart slot why =
-    (match slot.txn with
-    | Some id ->
-        emit_txn slot id
-          ~outcome:(match why with `Deadlock -> "deadlock" | `Timeout -> "timeout");
-        Engine.abort eng ~txn:id;
-        retire slot id
-    | None -> ());
+  (* count a restart, then back off: bounded exponential backoff +
+     seeded jitter, as Simulation does *)
+  let backoff slot count =
     incr restarts;
     Obs.Registry.Counter.incr m_restarts;
-    (match why with
-    | `Deadlock ->
-        incr deadlocks;
-        Obs.Registry.Counter.incr m_deadlocks
-    | `Timeout ->
-        incr timeouts;
-        Obs.Registry.Counter.incr m_timeouts);
+    incr count;
     wasted := !wasted + slot.pc;
     Obs.Registry.Counter.add m_wasted slot.pc;
     slot.pc <- 0;
     slot.incarnation <- slot.incarnation + 1;
-    (* bounded exponential backoff + seeded jitter, as Simulation does *)
     let window = min config.max_backoff (1 lsl min 6 slot.incarnation) in
     slot.delay <- 1 + Support.Rng.int rng window;
     Obs.Histogram.observe m_backoff slot.delay
+  in
+  (* a victim's cause: its trace outcome, counter and metric *)
+  let deadlock = ("deadlock", deadlocks, m_deadlocks)
+  and timeout = ("timeout", timeouts, m_timeouts) in
+  let restart slot (outcome, count, metric) =
+    (match slot.txn with
+    | Some id ->
+        emit_txn slot id ~outcome;
+        b.abort ~txn:id;
+        retire slot id
+    | None -> ());
+    Obs.Registry.Counter.incr metric;
+    backoff slot count
   in
   let restart_txn victim why =
     match Hashtbl.find_opt by_txn victim with
@@ -173,16 +210,18 @@ let run ?(config = default_config) eng specs =
     | None -> ()  (* already gone (raced with its own restart) *)
   in
   let commit_slot slot id =
-    match Engine.commit eng ~txn:id with
-    | () ->
+    match b.commit ~txn:id with
+    | `Committed ->
         emit_txn slot id ~outcome:"commit";
         retire slot id;
         slot.finished <- true;
         incr committed
-    | exception Engine.Read_only _ ->
-        (* in doubt: leave the transaction active; restart recovery will
-           abort it.  Nothing more can commit — stop the run. *)
-        stopped := true
+    | `Aborted ->
+        (* a decided abort: the work is undone (or stranded pending an
+           undo); retry the whole program after backoff *)
+        emit_txn slot id ~outcome:"commit-abort";
+        retire slot id;
+        backoff slot commit_aborts
   in
   let attempt slot =
     incr steps;
@@ -194,7 +233,7 @@ let run ?(config = default_config) eng specs =
       | Schedule.Commit -> commit_slot slot id
       | Schedule.Abort ->
           emit_txn slot id ~outcome:"abort";
-          Engine.abort eng ~txn:id;
+          b.abort ~txn:id;
           retire slot id;
           slot.finished <- true
       | (Schedule.Read item | Schedule.Write item) as op -> (
@@ -205,14 +244,28 @@ let run ?(config = default_config) eng specs =
           in
           match Lock_manager.acquire lm ~txn:id ~item mode with
           | Lock_manager.Granted -> (
-              (match op with
-              | Schedule.Read _ -> ignore (Engine.read eng item : int)
-              | _ ->
-                  incr next_value;
-                  Engine.write eng ~txn:id item !next_value);
-              slot.pc <- slot.pc + 1)
+              match
+                match op with
+                | Schedule.Read _ -> b.read item
+                | _ ->
+                    incr next_value;
+                    b.write ~txn:id item !next_value
+              with
+              | () -> slot.pc <- slot.pc + 1
+              | exception Engine.Locked _ ->
+                  (* held below the lock manager by a stranded txn:
+                     push its decision along and retry next turn *)
+                  b.round ())
           | Lock_manager.Blocked -> ()
-          | Lock_manager.Deadlock { victim; _ } -> restart_txn victim `Deadlock)
+          | Lock_manager.Deadlock { victim; _ } -> restart_txn victim deadlock)
+  in
+  let end_of_round () =
+    b.round ();
+    let landed, still =
+      List.partition (fun txn -> not (b.stranded txn)) !deferred
+    in
+    List.iter (fun txn -> Lock_manager.release_all lm ~txn) landed;
+    deferred := still
   in
   let all_done () = Array.for_all (fun s -> s.finished) slots in
   (try
@@ -223,24 +276,33 @@ let run ?(config = default_config) eng specs =
              if slot.delay > 0 then slot.delay <- slot.delay - 1
              else
                try attempt slot
-               with Engine.Read_only _ -> stopped := true)
+               with Engine.Read_only _ ->
+                 (* in doubt: leave the transaction active; restart
+                    recovery will settle it.  Nothing more can commit —
+                    stop the run. *)
+                 stopped := true)
          slots;
-       if not !stopped then
-         List.iter (fun t -> restart_txn t `Timeout) (Lock_manager.tick lm)
-     done
-   with Fault.Crash _ -> Engine.crash eng);
+       if not !stopped then begin
+         end_of_round ();
+         List.iter (fun t -> restart_txn t timeout) (Lock_manager.tick lm)
+       end
+     done;
+     (* give undelivered decisions a final chance before the run ends *)
+     if not !stopped then end_of_round ()
+   with Fault.Crash _ -> b.crash ());
   {
     committed = !committed;
     restarts = !restarts;
     deadlocks = !deadlocks;
     timeouts = !timeouts;
+    commit_aborts = !commit_aborts;
     steps = !steps;
     wasted_ops = !wasted;
-    repairs = Engine.repairs eng;
-    io_retries = Engine.io_retries eng;
-    degraded = Engine.read_only eng;
-    crashed = Fault.crashed_at (Engine.fault eng);
+    degraded = b.degraded ();
+    crashed = Fault.crashed_at b.fault;
   }
+
+let run ?config eng specs = run_on ?config (engine_backend eng) specs
 
 let model_divergence ~path =
   let entries = Wal.read_entries (Engine.wal_path path) in

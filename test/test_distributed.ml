@@ -3,11 +3,12 @@
    fault draws, 2PC happy paths and abort paths, stranded decisions
    resolved by the termination protocol, a crash matrix over every
    durable I/O point, the commit lint's 2C codes on synthetic logs, and
-   the QCheck crash-sweep property: survivor logs always lint clean. *)
+   two QCheck properties: a one-shard coordinator schedules exactly like
+   a bare engine, and survivor logs always lint clean. *)
 
 module C = Distributed.Coordinator
 module CL = Distributed.Coord_log
-module DX = Distributed.Executor
+module X = Storage.Executor
 module N = Distributed.Net
 module R = Distributed.Router
 module E = Storage.Engine
@@ -339,10 +340,10 @@ let test_dist_executor_workload () =
         write_ratio = 0.6;
       }
   in
-  let stats = DX.run ~config:{ DX.default_config with seed = 11 } coord specs in
+  let stats = X.run_on ~config:{ X.default_config with seed = 11 } (C.backend coord) specs in
   C.close coord;
-  Alcotest.(check int) "all commit" 6 stats.DX.committed;
-  Alcotest.(check int) "nothing stranded" 0 stats.DX.stranded;
+  Alcotest.(check int) "all commit" 6 stats.X.committed;
+  Alcotest.(check int) "nothing stranded" 0 (List.length (C.stranded_txns coord));
   Alcotest.(check bool) "model agrees" true
     (C.model_divergence ~path:base = None);
   cleanup base 2
@@ -352,12 +353,117 @@ let test_dist_executor_cross_shard_deadlock () =
   let coord = C.open_dist ~shards:2 base in
   let a = item_on ~shards:2 0 and b = item_on ~shards:2 1 in
   let specs = [| [ S.Write a; S.Write b ]; [ S.Write b; S.Write a ] |] in
-  let stats = DX.run ~config:{ DX.default_config with seed = 7 } coord specs in
+  let stats = X.run_on ~config:{ X.default_config with seed = 7 } (C.backend coord) specs in
   C.close coord;
-  Alcotest.(check int) "both commit" 2 stats.DX.committed;
+  Alcotest.(check int) "both commit" 2 stats.X.committed;
   Alcotest.(check bool) "model agrees" true
     (C.model_divergence ~path:base = None);
   cleanup base 2
+
+let test_dist_executor_decided_abort () =
+  (* every PREPARE is lost, so each commit decides abort: the scheduler
+     restarts the program like a victim and traces the incarnation with
+     its own outcome *)
+  let base = fresh_base () in
+  let trace = Obs.Trace.create () in
+  let coord =
+    C.open_dist ~shards:2 ~faults:(F.spec_of_string "drop@prepare=1,seed=4")
+      ~trace base
+  in
+  let a = item_on ~shards:2 0 and b = item_on ~shards:2 1 in
+  let stats =
+    X.run_on
+      ~config:{ X.default_config with seed = 5; max_steps = 40 }
+      (C.backend coord)
+      [| [ S.Write a; S.Write b ] |]
+  in
+  C.close coord;
+  Alcotest.(check int) "never commits" 0 stats.X.committed;
+  Alcotest.(check bool) "decided aborts" true (stats.X.commit_aborts >= 1);
+  Alcotest.(check int) "every restart is a decided abort" stats.X.commit_aborts
+    stats.X.restarts;
+  let outcomes =
+    List.filter_map
+      (fun e ->
+        if e.Obs.Trace.name = "exec.txn" then List.assoc_opt "outcome" e.args
+        else None)
+      (Obs.Trace.events trace)
+  in
+  Alcotest.(check (list string)) "one commit-abort span per decided abort"
+    (List.init stats.X.commit_aborts (fun _ -> "commit-abort"))
+    outcomes;
+  Alcotest.(check bool) "model agrees" true
+    (C.model_divergence ~path:base = None);
+  cleanup base 2
+
+(* --- QCheck: a 1-shard coordinator schedules exactly like the engine ------- *)
+
+(* With no faults a one-shard coordinator commits one-phase and never
+   strands a decision, so the SS2PL scheduler must make the same choices
+   over it as over a bare engine: same counters, same committed items,
+   with and without a lock-wait timeout. *)
+let prop_one_shard_matches_engine =
+  let open QCheck2 in
+  let action =
+    Gen.(
+      map2
+        (fun write i ->
+          let item = Printf.sprintf "x%d" i in
+          if write then S.Write item else S.Read item)
+        bool (int_range 0 3))
+  in
+  let program =
+    Gen.(
+      map2
+        (fun ops last -> ops @ last)
+        (list_size (int_range 1 5) action)
+        (oneofl [ []; [ S.Commit ]; [ S.Commit ]; [ S.Abort ] ]))
+  in
+  let gen =
+    Gen.(
+      triple
+        (array_size (int_range 1 5) program)
+        (int_range 0 10_000)
+        (opt (int_range 1 8)))
+  in
+  let print (programs, seed, timeout) =
+    Printf.sprintf "seed %d, timeout %s, programs [%s]" seed
+      (match timeout with None -> "none" | Some t -> string_of_int t)
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (fun p ->
+                 String.concat " "
+                   (List.map
+                      (function
+                        | S.Read i -> "r(" ^ i ^ ")"
+                        | S.Write i -> "w(" ^ i ^ ")"
+                        | S.Commit -> "c"
+                        | S.Abort -> "a")
+                      p))
+               programs)))
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:150 ~print
+       ~name:"1-shard coordinator schedules like the engine" gen
+       (fun (programs, seed, timeout) ->
+         let config = { X.default_config with seed; lock_timeout = timeout } in
+         let path = fresh_base () in
+         let eng = E.open_db path in
+         let es = X.run ~config eng programs in
+         let e_items = E.items eng in
+         E.close eng;
+         let base = fresh_base () in
+         let coord = C.open_dist ~shards:1 base in
+         let ds = X.run_on ~config (C.backend coord) programs in
+         let d_items = C.items coord in
+         C.close coord;
+         let rm p = if Sys.file_exists p then Sys.remove p in
+         rm path;
+         rm (E.wal_path path);
+         cleanup base 1;
+         es = ds
+         && e_items = d_items))
 
 (* --- crash matrix: every durable I/O point --------------------------------- *)
 
@@ -375,8 +481,8 @@ let run_crashy base crash_after =
   match C.open_dist ~shards:2 ~crash_after base with
   | exception F.Crash _ -> true
   | coord -> (
-      let stats = DX.run ~config:{ DX.default_config with seed = 23 } coord specs in
-      match stats.DX.crashed with
+      let stats = X.run_on ~config:{ X.default_config with seed = 23 } (C.backend coord) specs in
+      match stats.X.crashed with
       | Some _ -> true
       | None -> (
           try
@@ -456,9 +562,9 @@ let prop_crash_sweep_lints_clean =
          | exception F.Crash _ -> ()
          | coord -> (
              let stats =
-               DX.run ~config:{ DX.default_config with seed } coord programs
+               X.run_on ~config:{ X.default_config with seed } (C.backend coord) programs
              in
-             match stats.DX.crashed with
+             match stats.X.crashed with
              | Some _ -> ()
              | None -> ( try C.close coord with F.Crash _ -> C.crash coord)));
          let ok =
@@ -620,6 +726,8 @@ let suite =
     ( "executor: cross-shard deadlock retries",
       `Quick,
       test_dist_executor_cross_shard_deadlock );
+    ("executor: decided aborts restart", `Quick, test_dist_executor_decided_abort);
+    prop_one_shard_matches_engine;
     ("crash matrix: every io point recovers", `Slow, test_crash_matrix);
     prop_crash_sweep_lints_clean;
     ("lint commit: clean protocol", `Quick, test_lint_clean_protocol);
