@@ -50,7 +50,8 @@ let run () =
   let n = 20_000 in
   let reps = 50 in
   Bench_util.note
-    "Point query select[k = %d] over %d rows, %d repetitions:" (n / 2) n reps;
+    "Point query select[k = %d] over %d rows, ms per query (mean of %d):"
+    (n / 2) n reps;
   let path = fresh_path () in
   let eng = E.open_db ~metrics path in
   E.save_table eng "r"
@@ -71,25 +72,20 @@ let run () =
     let scan = P.make (P.Scan { table = "r"; access = P.Full; pages = 0 }) (Planner.Plan.catalog ctx "r") in
     P.make (P.Filter (A.Cmp (A.Eq, A.Attr "k", A.Const (Int (n / 2))), scan)) scan.P.schema
   in
-  let t_index =
-    Bench_util.timed (fun () -> repeat reps (fun () -> Planner.Exec.run ctx indexed))
-  in
-  let t_full =
-    Bench_util.timed (fun () -> repeat reps (fun () -> Planner.Exec.run ctx full))
-  in
-  let t_legacy =
-    Bench_util.timed (fun () ->
-        repeat reps (fun () -> Relational.Eval.eval (E.database eng) q))
-  in
+  (* each row is one query: the timed loop of [reps] runs, divided *)
+  let per_query f = Bench_util.timed (fun () -> repeat reps f) /. float_of_int reps in
+  let t_index = per_query (fun () -> Planner.Exec.run ctx indexed) in
+  let t_full = per_query (fun () -> Planner.Exec.run ctx full) in
+  let t_legacy = per_query (fun () -> Relational.Eval.eval (E.database eng) q) in
   E.close eng;
   cleanup path;
   Bench_util.record ~metric:"point_index_ms" t_index;
   Bench_util.record ~metric:"point_fullscan_ms" t_full;
   Bench_util.record ~metric:"point_legacy_ms" t_legacy;
-  Bench_util.note "  index point lookup  %s ms" (Bench_util.ms t_index);
-  Bench_util.note "  forced full scan    %s ms  (%sx)" (Bench_util.ms t_full)
+  Bench_util.note "  index point lookup  %s ms" (Bench_util.f3 t_index);
+  Bench_util.note "  forced full scan    %s ms  (%sx)" (Bench_util.f3 t_full)
     (Bench_util.f1 (t_full /. Float.max 0.001 t_index));
-  Bench_util.note "  legacy eval path    %s ms  (%sx)" (Bench_util.ms t_legacy)
+  Bench_util.note "  legacy eval path    %s ms  (%sx)" (Bench_util.f3 t_legacy)
     (Bench_util.f1 (t_legacy /. Float.max 0.001 t_index));
 
   (* --- join algorithms: hash vs merge over index order ------------------- *)

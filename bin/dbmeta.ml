@@ -1635,6 +1635,7 @@ let lint_plan_run path text no_optimize format =
         {
           Analysis.Plan_lint.plan;
           indexes = Planner.Indexes.defs (Planner.Plan.indexes ctx);
+          stats = Planner.Plan.stats ctx;
         })
 
 let lint_plan_cmd =

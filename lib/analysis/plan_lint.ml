@@ -10,7 +10,7 @@ module A = R.Algebra
 module P = Planner.Physical
 module I = Planner.Indexes
 
-type input = { plan : P.t; indexes : I.def list }
+type input = { plan : P.t; indexes : I.def list; stats : Planner.Stats.t }
 
 let subject = P.label
 
@@ -43,7 +43,7 @@ let usable indexes table cmp attr =
    avoids this when selections sit directly on the table; the warning
    fires when they do not (e.g. an unpushed selection above a join,
    visible under [--no-optimize]). *)
-let full_scan_pass { plan; indexes } =
+let full_scan_pass { plan; indexes; _ } =
   let diags = ref [] in
   let idx = ref (-1) in
   let rec go carried t =
@@ -107,10 +107,27 @@ let cartesian_pass { plan; _ } =
 
 (* PL003: after execution, an estimate more than [divergence_factor] off
    the actual row count.  Nodes that never ran (actual_rows < 0) are
-   skipped, so the pass is a no-op on unexecuted plans. *)
+   skipped, so the pass is a no-op on unexecuted plans.  The message
+   names the cause: stale statistics only when some full scan under the
+   node produced a row count other than its table's [__stats] row
+   count; otherwise the statistics were right and the estimator's model
+   (selectivity, uniformity) was wrong. *)
 let divergence_factor = 8.0
 
-let divergence_pass { plan; _ } =
+let stale_scan stats t =
+  P.fold
+    (fun stale n ->
+      stale
+      ||
+      match n.P.node with
+      | P.Scan { table; access = P.Full; _ } when n.P.meta.P.actual_rows >= 0 -> (
+          match Planner.Stats.find stats table with
+          | Some tb -> tb.Planner.Stats.rows <> n.P.meta.P.actual_rows
+          | None -> false)
+      | _ -> false)
+    false t
+
+let divergence_pass { plan; stats; _ } =
   let idx = ref (-1) in
   let diags = ref [] in
   let rec go t =
@@ -123,10 +140,10 @@ let divergence_pass { plan; _ } =
        if hi /. lo > divergence_factor then
          diags :=
            Diagnostic.warning ~subject:(subject t) ~loc:!idx "PL003"
-             (Printf.sprintf
-                "estimated %.1f rows but produced %d (off by %.0fx): \
-                 statistics may be stale"
-                est actual (hi /. lo))
+             (Printf.sprintf "estimated %.1f rows but produced %d (off by %.0fx): %s"
+                est actual (hi /. lo)
+                (if stale_scan stats t then "statistics are stale"
+                 else "estimate model error (selectivity/uniformity)"))
            :: !diags);
     List.iter go (P.children t)
   in

@@ -8,8 +8,11 @@
     - [PL002] (error) cartesian product — a join whose sides share no
       attribute, so every pair of rows is combined
     - [PL003] (warning) estimate divergence — after execution, a node's
-      estimated cardinality is more than 8x off its actual row count
-      (stale or missing statistics); unexecuted nodes are skipped
+      estimated cardinality is more than 8x off its actual row count;
+      the message says "statistics are stale" only when a full scan
+      under the node produced a row count other than its table's
+      statistics row count, and "estimate model error
+      (selectivity/uniformity)" otherwise; unexecuted nodes are skipped
     - [PL004] (info) unused projected columns — a non-root projection
       keeps columns no ancestor operator consumes
 
@@ -17,10 +20,15 @@
     executed by [Planner.Exec.run] first so the actual row counts are
     filled in). *)
 
-type input = { plan : Planner.Physical.t; indexes : Planner.Indexes.def list }
-(** What the passes see: the physical plan plus the index definitions
-    the planner had available (PL001 must know what was on offer, not
-    what was chosen). *)
+type input = {
+  plan : Planner.Physical.t;
+  indexes : Planner.Indexes.def list;
+  stats : Planner.Stats.t;
+}
+(** What the passes see: the physical plan, the index definitions the
+    planner had available (PL001 must know what was on offer, not what
+    was chosen), and the statistics it planned with (PL003 compares
+    them with what the scans produced). *)
 
 val passes : input Pass.t list
 (** The PL pass suite, for {!Pass.run_all} / {!Pass.drive}. *)

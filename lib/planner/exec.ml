@@ -170,15 +170,15 @@ let heap_scan ctx table =
   let queue = ref [] in
   let rec next () =
     match !queue with
-    | r :: rest ->
+    | t :: rest ->
         queue := rest;
-        Some (R.Codec.tuple_of_string r)
+        Some t
     | [] ->
         if !page = 0 then None
         else begin
-          let records, nxt = Storage.Heap.page_records pool !page in
-          page := nxt;
-          queue := records;
+          let tuples = ref [] in
+          page := Storage.Heap.iter_page pool !page (fun t -> tuples := t :: !tuples);
+          queue := List.rev !tuples;
           next ()
         end
   in
@@ -325,11 +325,11 @@ let rec open_plain ctx (p : P.t) : cursor =
   | P.Scan { table; access; _ } -> index_scan ctx table access
   | P.Filter (pred, child) ->
       let c = open_cursor ctx child in
+      let keep = A.eval_predicate child.P.schema pred in
       let rec next () =
         match c.next () with
         | None -> None
-        | Some t ->
-            if A.eval_predicate child.P.schema pred t then Some t else next ()
+        | Some t -> if keep t then Some t else next ()
       in
       { next; close = c.close }
   | P.Project (attrs, child) ->
@@ -405,10 +405,10 @@ and open_cursor ctx (p : P.t) : cursor =
     next =
       (fun () ->
         match inner.next () with
-        | Some t ->
+        | Some _ as row ->
             p.P.meta.P.actual_rows <- p.P.meta.P.actual_rows + 1;
             Obs.Registry.Counter.incr rows;
-            Some t
+            row
         | None -> None);
     close = inner.close;
   }

@@ -115,7 +115,8 @@ let drop eng t d =
   Hashtbl.remove t.cache (d.table, d.attr, d.kind);
   save eng t
 
-(* records decode as in Exec's heap scan: no type check, no set *)
+(* records decode in place, as in Exec's heap scan: no copy, no type
+   check, no set *)
 let build eng t d =
   match Hashtbl.find_opt t.cache (d.table, d.attr, d.kind) with
   | Some b -> b
@@ -123,8 +124,7 @@ let build eng t d =
       let schema, first = Storage.Engine.table_chain eng d.table in
       let pos = R.Schema.index_of schema d.attr in
       let scan add =
-        Storage.Heap.iter_chain (Storage.Engine.pool eng) ~first (fun _ _ r ->
-            let tup = R.Codec.tuple_of_string r in
+        Storage.Heap.iter_tuples (Storage.Engine.pool eng) ~first (fun tup ->
             add tup.(pos) tup)
       in
       let b =

@@ -43,19 +43,18 @@ let collect eng name =
   let attrs = R.Schema.attributes schema in
   let seen = Array.init (List.length attrs) (fun _ -> Hashtbl.create 64) in
   let pool = Storage.Engine.pool eng in
-  let rec walk page rows pages =
-    if page = 0 then (rows, pages)
-    else begin
-      let records, next = Storage.Heap.page_records pool page in
-      List.iter
-        (fun r ->
-          let tup = R.Codec.tuple_of_string r in
-          Array.iteri (fun i h -> Hashtbl.replace h tup.(i) ()) seen)
-        records;
-      walk next (rows + List.length records) (pages + 1)
-    end
+  let rows = ref 0 in
+  let rec walk page pages =
+    if page = 0 then pages
+    else
+      walk
+        (Storage.Heap.iter_page pool page (fun tup ->
+             incr rows;
+             Array.iteri (fun i h -> Hashtbl.replace h tup.(i) ()) seen))
+        (pages + 1)
   in
-  let rows, pages = walk first 0 0 in
+  let pages = walk first 0 in
+  let rows = !rows in
   let columns =
     List.mapi (fun i attr -> { attr; distinct = Hashtbl.length seen.(i) }) attrs
   in

@@ -118,18 +118,32 @@ let eval_comparison cmp c =
   | Gt -> c > 0
   | Ge -> c >= 0
 
-let eval_predicate schema p tup =
-  let value = function
-    | Const v -> v
-    | Attr a -> tup.(Schema.index_of schema a)
+(* Staged: applied to a schema and a predicate, it resolves attribute
+   positions once and returns the per-tuple test.  An unknown attribute
+   raises only when the test reads it, as a per-tuple lookup would. *)
+let eval_predicate schema p =
+  let operand = function
+    | Const v -> fun _ -> v
+    | Attr a -> (
+        match Schema.index_of schema a with
+        | i -> fun tup -> tup.(i)
+        | exception e -> fun _ -> raise e)
   in
   let rec go = function
-    | True -> true
-    | False -> false
-    | Cmp (cmp, l, r) -> eval_comparison cmp (Value.compare (value l) (value r))
-    | And (p, q) -> go p && go q
-    | Or (p, q) -> go p || go q
-    | Not p -> not (go p)
+    | True -> fun _ -> true
+    | False -> fun _ -> false
+    | Cmp (cmp, l, r) ->
+        let l = operand l and r = operand r in
+        fun tup -> eval_comparison cmp (Value.compare (l tup) (r tup))
+    | And (p, q) ->
+        let p = go p and q = go q in
+        fun tup -> p tup && q tup
+    | Or (p, q) ->
+        let p = go p and q = go q in
+        fun tup -> p tup || q tup
+    | Not p ->
+        let p = go p in
+        fun tup -> not (p tup)
   in
   go p
 

@@ -54,7 +54,10 @@ val attributes_of_predicate : predicate -> Schema.attribute list
 
 val eval_predicate : Schema.t -> predicate -> Tuple.t -> bool
 (** Evaluates a predicate against a tuple laid out by the given schema.
-    Assumes the predicate type-checked against that schema. *)
+    Assumes the predicate type-checked against that schema.  Staged: the
+    partial application [eval_predicate schema p] resolves attribute
+    positions once and returns the per-tuple test, so apply it once per
+    operator, not once per tuple. *)
 
 val conjuncts : predicate -> predicate list
 (** Flattens nested [And]s. *)

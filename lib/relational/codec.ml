@@ -19,34 +19,37 @@ let add_bytes buf s =
   add_u16 buf (String.length s);
   Buffer.add_string buf s
 
-(* --- primitive readers (from a string, advancing a cursor) ------------ *)
+(* --- primitive readers (from bytes up to a limit, advancing a cursor) -- *)
 
-let need s pos n what =
-  if !pos + n > String.length s then
-    corrupt "truncated %s at offset %d" what !pos
+(* Every reader works on a byte range [.., lim) of a buffer in place, so
+   a page record decodes without being copied out first; the string
+   readers below pass the whole string as the range. *)
 
-let read_u8 s pos =
-  need s pos 1 "u8";
-  let v = Char.code s.[!pos] in
+let need lim pos n what =
+  if !pos + n > lim then corrupt "truncated %s at offset %d" what !pos
+
+let read_u8 b lim pos =
+  need lim pos 1 "u8";
+  let v = Bytes.get_uint8 b !pos in
   incr pos;
   v
 
-let read_u16 s pos =
-  need s pos 2 "u16";
-  let v = String.get_uint16_le s !pos in
+let read_u16 b lim pos =
+  need lim pos 2 "u16";
+  let v = Bytes.get_uint16_le b !pos in
   pos := !pos + 2;
   v
 
-let read_i64 s pos =
-  need s pos 8 "i64";
-  let v = Int64.to_int (String.get_int64_le s !pos) in
+let read_i64 b lim pos =
+  need lim pos 8 "i64";
+  let v = Int64.to_int (Bytes.get_int64_le b !pos) in
   pos := !pos + 8;
   v
 
-let read_bytes s pos =
-  let len = read_u16 s pos in
-  need s pos len "string body";
-  let v = String.sub s !pos len in
+let read_bytes b lim pos =
+  let len = read_u16 b lim pos in
+  need lim pos len "string body";
+  let v = Bytes.sub_string b !pos len in
   pos := !pos + len;
   v
 
@@ -73,17 +76,19 @@ let add_value buf v =
   | Value.Float f -> Buffer.add_int64_le buf (Int64.bits_of_float f)
   | Value.Bool b -> add_u8 buf (if b then 1 else 0)
 
-let read_value s pos =
-  match read_u8 s pos with
-  | 0 -> Value.Int (read_i64 s pos)
-  | 1 -> Value.String (read_bytes s pos)
+let value_in b lim pos =
+  match read_u8 b lim pos with
+  | 0 -> Value.Int (read_i64 b lim pos)
+  | 1 -> Value.String (read_bytes b lim pos)
   | 2 ->
-      need s pos 8 "float";
-      let f = Int64.float_of_bits (String.get_int64_le s !pos) in
+      need lim pos 8 "float";
+      let f = Int64.float_of_bits (Bytes.get_int64_le b !pos) in
       pos := !pos + 8;
       Value.Float f
-  | 3 -> Value.Bool (read_u8 s pos <> 0)
+  | 3 -> Value.Bool (read_u8 b lim pos <> 0)
   | n -> corrupt "unknown value tag %d" n
+
+let read_value s pos = value_in (Bytes.unsafe_of_string s) (String.length s) pos
 
 (* --- tuples ------------------------------------------------------------ *)
 
@@ -91,20 +96,29 @@ let add_tuple buf t =
   add_u16 buf (Array.length t);
   Array.iter (add_value buf) t
 
-let read_tuple s pos =
-  let arity = read_u16 s pos in
-  Array.init arity (fun _ -> read_value s pos)
+let tuple_in b lim pos =
+  let arity = read_u16 b lim pos in
+  let t = Array.make arity (Value.Bool false) in
+  for i = 0 to arity - 1 do
+    t.(i) <- value_in b lim pos
+  done;
+  t
 
 let tuple_to_string t =
   let buf = Buffer.create 64 in
   add_tuple buf t;
   Buffer.contents buf
 
-let tuple_of_string s =
-  let pos = ref 0 in
-  let t = read_tuple s pos in
-  if !pos <> String.length s then corrupt "trailing bytes after tuple";
+let tuple_of_bytes b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Codec.tuple_of_bytes: range out of bounds";
+  let pos = ref off and lim = off + len in
+  let t = tuple_in b lim pos in
+  if !pos <> lim then corrupt "trailing bytes after tuple";
   t
+
+let tuple_of_string s =
+  tuple_of_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 (* --- schemas ----------------------------------------------------------- *)
 
@@ -118,11 +132,12 @@ let add_schema buf schema =
     pairs
 
 let read_schema s pos =
-  let n = read_u16 s pos in
+  let b = Bytes.unsafe_of_string s and lim = String.length s in
+  let n = read_u16 b lim pos in
   let pairs =
     List.init n (fun _ ->
-        let attr = read_bytes s pos in
-        let ty = ty_of_tag (read_u8 s pos) in
+        let attr = read_bytes b lim pos in
+        let ty = ty_of_tag (read_u8 b lim pos) in
         (attr, ty))
   in
   Schema.make pairs

@@ -12,10 +12,15 @@ val add_value : Buffer.t -> Value.t -> unit
 val read_value : string -> int ref -> Value.t
 
 val add_tuple : Buffer.t -> Tuple.t -> unit
-val read_tuple : string -> int ref -> Tuple.t
 val tuple_to_string : Tuple.t -> string
+val tuple_of_bytes : Bytes.t -> off:int -> len:int -> Tuple.t
+(** Decode the tuple record held in the [len] bytes at [off], in place
+    (the record is not copied first; string values are).  Raises
+    {!Corrupt} on malformed input or trailing bytes inside the range,
+    [Invalid_argument] when the range is not within the buffer. *)
+
 val tuple_of_string : string -> Tuple.t
-(** Raises {!Corrupt} on trailing bytes. *)
+(** {!tuple_of_bytes} over the whole string. *)
 
 val add_schema : Buffer.t -> Schema.t -> unit
 val read_schema : string -> int ref -> Schema.t

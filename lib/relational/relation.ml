@@ -12,23 +12,27 @@ let err fmt = Printf.ksprintf (fun s -> raise (Arity_error s)) fmt
 
 let create schema = { schema; tuples = Tuple_set.empty }
 
-let check_tuple schema tup =
-  if Array.length tup <> Schema.arity schema then
-    err "tuple %s has arity %d, schema %s has arity %d" (Tuple.to_string tup)
-      (Array.length tup)
-      (Schema.to_string schema)
-      (Schema.arity schema);
-  List.iteri
-    (fun i ty ->
-      if Value.type_of tup.(i) <> ty then
+(* The schema's types are laid out once per call site, so checking a
+   tuple is one loop over an array, not a list walk per tuple. *)
+let tuple_checker schema =
+  let types = Array.of_list (Schema.types schema) in
+  fun tup ->
+    if Array.length tup <> Array.length types then
+      err "tuple %s has arity %d, schema %s has arity %d" (Tuple.to_string tup)
+        (Array.length tup)
+        (Schema.to_string schema)
+        (Array.length types);
+    for i = 0 to Array.length types - 1 do
+      if Value.type_of tup.(i) != types.(i) then
         err "tuple %s: component %d has type %s, schema %s expects %s"
           (Tuple.to_string tup) i
           (Value.ty_to_string (Value.type_of tup.(i)))
-          (Schema.to_string schema) (Value.ty_to_string ty))
-    (Schema.types schema)
+          (Schema.to_string schema)
+          (Value.ty_to_string types.(i))
+    done
 
 let of_tuples schema tups =
-  List.iter (check_tuple schema) tups;
+  List.iter (tuple_checker schema) tups;
   { schema; tuples = Tuple_set.of_list tups }
 
 let of_list schema rows = of_tuples schema (List.map Tuple.make rows)
@@ -41,7 +45,7 @@ let is_empty t = Tuple_set.is_empty t.tuples
 let mem t tup = Tuple_set.mem tup t.tuples
 
 let add t tup =
-  check_tuple t.schema tup;
+  tuple_checker t.schema tup;
   { t with tuples = Tuple_set.add tup t.tuples }
 
 let iter f t = Tuple_set.iter f t.tuples
@@ -69,12 +73,15 @@ let subset a b =
   && Tuple_set.subset a.tuples (aligned a b)
 
 let project t attrs =
-  let sub = Schema.project t.schema attrs in
-  let positions = Array.of_list (List.map (Schema.index_of t.schema) attrs) in
-  {
-    schema = sub;
-    tuples = Tuple_set.map (fun tup -> Tuple.project tup positions) t.tuples;
-  }
+  (* projecting onto every column in order is the identity *)
+  if attrs = Schema.attributes t.schema then t
+  else
+    let sub = Schema.project t.schema attrs in
+    let positions = Array.of_list (List.map (Schema.index_of t.schema) attrs) in
+    {
+      schema = sub;
+      tuples = Tuple_set.map (fun tup -> Tuple.project tup positions) t.tuples;
+    }
 
 let select p t = filter p t
 

@@ -1,7 +1,9 @@
 (* The buffer pool: a bounded cache of pages with pin counts, dirty
    tracking, and LRU eviction.  Evicting a dirty page flushes it — the
    "steal" in steal/no-force — but only after the WAL hook has made the
-   log durable up to that page's LSN (write-ahead rule). *)
+   log durable up to that page's LSN (write-ahead rule).  A miss in a
+   full pool reads the new page into the victim's buffer, so a page
+   handed out by [fetch] is the caller's only while it stays pinned. *)
 
 type stats = {
   mutable hits : int;
@@ -81,25 +83,26 @@ let flush_frame t id frame =
     Obs.Registry.Counter.incr t.metrics.m_flushes
   end
 
+(* Evict the least recently used unpinned frame (stamps are unique, so
+   the victim is too) and hand back its buffer for the caller to reuse. *)
 let evict_one t =
-  let victim =
-    Hashtbl.fold
-      (fun id frame best ->
-        if frame.pins > 0 then best
-        else
-          match best with
-          | Some (_, b) when b.stamp <= frame.stamp -> best
-          | _ -> Some (id, frame))
-      t.frames None
-  in
-  match victim with
-  | None -> raise Pool_exhausted
-  | Some (id, frame) ->
-      flush_frame t id frame;
-      Hashtbl.remove t.frames id;
-      t.stats.evictions <- t.stats.evictions + 1;
-      Obs.Registry.Counter.incr t.metrics.m_evictions;
-      Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames)
+  let victim = ref (-1) and oldest = ref max_int in
+  Hashtbl.iter
+    (fun id frame ->
+      if frame.pins = 0 && frame.stamp < !oldest then begin
+        victim := id;
+        oldest := frame.stamp
+      end)
+    t.frames;
+  if !victim < 0 then raise Pool_exhausted;
+  let id = !victim in
+  let frame = Hashtbl.find t.frames id in
+  flush_frame t id frame;
+  Hashtbl.remove t.frames id;
+  t.stats.evictions <- t.stats.evictions + 1;
+  Obs.Registry.Counter.incr t.metrics.m_evictions;
+  Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames);
+  frame.page
 
 let fetch t id =
   match Hashtbl.find_opt t.frames id with
@@ -112,8 +115,12 @@ let fetch t id =
   | None ->
       t.stats.misses <- t.stats.misses + 1;
       Obs.Registry.Counter.incr t.metrics.m_misses;
-      if Hashtbl.length t.frames >= t.capacity then evict_one t;
-      let page = Pager.read_page t.pager id in
+      (* a full pool reads into the victim's bytes: no page allocated *)
+      let page =
+        if Hashtbl.length t.frames >= t.capacity then evict_one t
+        else Bytes.create Page.size
+      in
+      Pager.read_page_into t.pager id page;
       let frame = { page; dirty = false; pins = 1; stamp = 0 } in
       touch t frame;
       Hashtbl.replace t.frames id frame;
@@ -137,7 +144,7 @@ let with_page t id f =
   Fun.protect ~finally:(fun () -> unpin t id) (fun () -> f page)
 
 let adopt t id page =
-  if Hashtbl.length t.frames >= t.capacity then evict_one t;
+  if Hashtbl.length t.frames >= t.capacity then ignore (evict_one t : Page.t);
   let frame = { page; dirty = false; pins = 0; stamp = 0 } in
   touch t frame;
   Hashtbl.replace t.frames id frame;

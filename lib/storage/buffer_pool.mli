@@ -5,7 +5,14 @@
     dirtied it is still running — the {e steal} policy — but only after
     the WAL barrier has made the log durable up to that page's LSN
     (the write-ahead rule).  Commit does not force pages ({e no-force});
-    durability comes from the WAL alone. *)
+    durability comes from the WAL alone.
+
+    {b Pin-scoped pages.}  Frames are recycled: a miss in a full pool
+    reads the new page into the evicted frame's buffer.  A {!Page.t}
+    returned by {!fetch} (or passed to {!with_page}'s function) is
+    therefore valid only while it is pinned; after the matching
+    {!unpin} the same bytes may already hold another page.  Copy out
+    whatever must outlive the pin. *)
 
 (** Legacy in-process counters (predates [lib/obs]); kept because tests
     and the storage bench read them without wiring a registry. *)
@@ -29,13 +36,16 @@ val create : ?capacity:int -> ?metrics:Obs.Registry.t -> Pager.t -> t
     defaults to {!Obs.Registry.noop}. *)
 
 val fetch : t -> int -> Page.t
-(** Pin and return the page, reading (and possibly evicting) on miss. *)
+(** Pin and return the page, reading (and possibly evicting) on miss.
+    The page is valid until the pin is dropped (see above). *)
 
 val unpin : t -> int -> unit
 (** Drop one pin; the frame becomes evictable at zero pins. *)
 
 val with_page : t -> int -> (Page.t -> 'a) -> 'a
-(** Fetch, apply, unpin (exception-safe). *)
+(** Fetch, apply, unpin (exception-safe).  The function must not let
+    the page escape: its result must not be or share the page's
+    bytes. *)
 
 val mark_dirty : t -> int -> unit
 (** The caller mutated the page; it must currently be resident. *)

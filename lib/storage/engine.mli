@@ -144,7 +144,7 @@ val load_table : t -> string -> Relational.Relation.t
 
 val table_chain : t -> string -> Relational.Schema.t * int
 (** A table's schema and the first page of its tuple chain, for callers
-    that stream the chain themselves ({!Heap.iter_chain}); resolves
+    that stream the chain themselves ({!Heap.iter_tuples}); resolves
     {!reserved} names like {!load_table}.  Raises {!Unknown_table}. *)
 
 val reserved : string -> bool

@@ -20,15 +20,26 @@ let iter_chain pool ~first f =
   while !id <> 0 do
     let next =
       Buffer_pool.with_page pool !id (fun page ->
-          List.iter (fun (slot, r) -> f !id slot r) (Page.records page);
+          Page.iter_slots page (fun slot ~off ~len ->
+              f !id slot (Bytes.sub_string page off len));
           Page.next page)
     in
     id := next
   done
 
-let page_records pool id =
+(* Table records decode straight out of the pinned page: no record is
+   copied before decoding, and nothing of the page outlives the pin. *)
+let iter_page pool id f =
   Buffer_pool.with_page pool id (fun page ->
-      (List.map snd (Page.records page), Page.next page))
+      Page.iter_slots page (fun _ ~off ~len ->
+          f (Relational.Codec.tuple_of_bytes page ~off ~len));
+      Page.next page)
+
+let iter_tuples pool ~first f =
+  let id = ref first in
+  while !id <> 0 do
+    id := iter_page pool !id f
+  done
 
 let chain_pages pool ~first =
   let n = ref 0 and id = ref first in
@@ -222,8 +233,7 @@ let save_relation pool rel =
 
 let load_relation pool ~schema ~first =
   let tuples = ref [] in
-  iter_chain pool ~first (fun _ _ r ->
-      tuples := Relational.Codec.tuple_of_string r :: !tuples);
+  iter_tuples pool ~first (fun t -> tuples := t :: !tuples);
   Relational.Relation.of_tuples schema (List.rev !tuples)
 
 (* --- the catalog ---------------------------------------------------------- *)

@@ -14,16 +14,18 @@ val kind_table : int
 val kind_catalog : int
 (** Page kind tag of catalog pages. *)
 
-val iter_chain :
-  Buffer_pool.t -> first:int -> (int -> int -> string -> unit) -> unit
-(** [iter_chain pool ~first f] calls [f page slot record] for every live
-    record of the chain. *)
+val iter_page :
+  Buffer_pool.t -> int -> (Relational.Tuple.t -> unit) -> int
+(** [iter_page pool id f] decodes each live record of table-chain page
+    [id] in place, while the page is pinned (no record is copied out
+    first), and calls [f] on the tuples in slot order; returns the next
+    page id (0 at the end of the chain).  The unit a pull-based scan
+    cursor consumes: at most one page of the chain is held at a time. *)
 
-val page_records : Buffer_pool.t -> int -> string list * int
-(** [page_records pool id] returns one chain page's live records in slot
-    order together with the next page id (0 at the end of the chain) —
-    the unit a pull-based scan cursor consumes, holding at most one page
-    of the chain in working memory at a time. *)
+val iter_tuples :
+  Buffer_pool.t -> first:int -> (Relational.Tuple.t -> unit) -> unit
+(** {!iter_page} down the whole chain rooted at [first], in chain and
+    slot order. *)
 
 val chain_pages : Buffer_pool.t -> first:int -> int
 (** Number of pages in the chain rooted at [first] (0 when [first] is 0)

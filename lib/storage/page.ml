@@ -82,14 +82,17 @@ let delete_slot p i =
   let off, _ = slot p i in
   set_slot p i ~off ~len:dead
 
+let iter_slots p f =
+  for i = 0 to nslots p - 1 do
+    let pos = slot_pos i in
+    let len = Bytes.get_uint16_le p (pos + 2) in
+    if len <> dead then f i ~off:(Bytes.get_uint16_le p pos) ~len
+  done
+
 let records p =
   let out = ref [] in
-  for i = nslots p - 1 downto 0 do
-    match read_slot p i with
-    | Some r -> out := (i, r) :: !out
-    | None -> ()
-  done;
-  !out
+  iter_slots p (fun i ~off ~len -> out := (i, Bytes.sub_string p off len) :: !out);
+  List.rev !out
 
 let seal p =
   let crc = Support.Crc32.bytes p ~pos:4 ~len:(size - 4) in

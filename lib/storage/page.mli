@@ -51,8 +51,13 @@ val overwrite : t -> int -> string -> bool
 val delete_slot : t -> int -> unit
 (** Mark the slot dead (its index stays allocated). *)
 
+val iter_slots : t -> (int -> off:int -> len:int -> unit) -> unit
+(** [iter_slots p f] calls [f slot ~off ~len] for every live record in
+    slot order; the record is the [len] bytes of [p] at [off], to be
+    read in place. *)
+
 val records : t -> (int * string) list
-(** Live records with their slot ids, in slot order. *)
+(** Live records with their slot ids, in slot order (copied out). *)
 
 val seal : t -> unit
 (** Compute and store the CRC (call just before writing to disk). *)

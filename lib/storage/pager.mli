@@ -46,6 +46,13 @@ val read_page : t -> int -> Page.t
     faults are retried, raising {!Fault.Io_error} only when every retry
     fails. *)
 
+val read_page_into : t -> int -> Page.t -> unit
+(** [read_page_into t id buf] is {!read_page} into a caller-owned
+    buffer of exactly {!Page.size} bytes ([Invalid_argument] otherwise),
+    so the buffer pool can reuse an evicted frame's bytes instead of
+    allocating a page per miss.  On any failure the buffer's contents
+    are unspecified. *)
+
 val write_page : t -> int -> Page.t -> unit
 (** Seals (checksums) and writes the page. *)
 

@@ -1,35 +1,36 @@
+(* One pass to size the columns, then every line written straight into
+   one buffer: short rows are padded with empty cells, every cell (the
+   last one too) is padded to its column's width, and columns are
+   separated by two spaces. *)
 let render ~header rows =
-  let all = header :: rows in
-  let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
-  let pad r = r @ List.init (ncols - List.length r) (fun _ -> "") in
-  let all = List.map pad all in
+  let ncols =
+    List.fold_left (fun acc r -> max acc (List.length r)) (List.length header) rows
+  in
   let widths = Array.make ncols 0 in
-  List.iter
-    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)))
-    all;
-  let render_row r =
-    String.concat "  "
-      (List.mapi
-         (fun i cell -> cell ^ String.make (widths.(i) - String.length cell) ' ')
-         r)
+  let measure =
+    List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell))
   in
-  let sep =
-    String.concat "  "
-      (Array.to_list (Array.map (fun w -> String.make w '-') widths))
+  measure header;
+  List.iter measure rows;
+  let buf = Buffer.create (Array.fold_left ( + ) (2 * ncols) widths * (List.length rows + 2)) in
+  let add_line cell =
+    for i = 0 to ncols - 1 do
+      if i > 0 then Buffer.add_string buf "  ";
+      let s = cell i in
+      Buffer.add_string buf s;
+      for _ = String.length s + 1 to widths.(i) do
+        Buffer.add_char buf ' '
+      done
+    done;
+    Buffer.add_char buf '\n'
   in
-  let buf = Buffer.create 256 in
-  (match all with
-  | h :: rest ->
-      Buffer.add_string buf (render_row h);
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf sep;
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun r ->
-          Buffer.add_string buf (render_row r);
-          Buffer.add_char buf '\n')
-        rest
-  | [] -> ());
+  let add_row r =
+    let r = Array.of_list r in
+    add_line (fun i -> if i < Array.length r then r.(i) else "")
+  in
+  add_row header;
+  add_line (fun i -> String.make widths.(i) '-');
+  List.iter add_row rows;
   Buffer.contents buf
 
 let print ~header rows = print_string (render ~header rows)

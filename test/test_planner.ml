@@ -642,6 +642,63 @@ let prop_semantic_rewrite_preserves_results =
             (Planner.Exec.run on (Planner.Plan.plan on q))
             (Planner.Exec.run off (Planner.Plan.plan off q))))
 
+(* --- PL003 names the cause ------------------------------------------------ *)
+
+(* Plan and run [q] over table "t" (schema k:int), then the PL003
+   messages of the lint. *)
+let pl003_messages eng q =
+  let ctx = Planner.Plan.make eng in
+  let plan = Planner.Plan.plan ctx q in
+  ignore (Planner.Exec.run ctx plan : R.Relation.t);
+  List.filter_map
+    (fun d ->
+      if d.Analysis.Diagnostic.code = "PL003" then Some d.Analysis.Diagnostic.message
+      else None)
+    (Analysis.Plan_lint.lint
+       {
+         Analysis.Plan_lint.plan;
+         indexes = Planner.Indexes.defs (Planner.Plan.indexes ctx);
+         stats = Planner.Plan.stats ctx;
+       })
+
+let with_keys n f =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  let keys n = R.Relation.of_list (R.Schema.make [ ("k", TInt) ]) (List.init n (fun i -> [ Int i ])) in
+  Fun.protect
+    ~finally:(fun () ->
+      Storage.Engine.close eng;
+      cleanup path)
+    (fun () ->
+      Storage.Engine.save_table eng "t" (keys n);
+      ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t);
+      f eng keys)
+
+let check_pl003 what expected messages =
+  Alcotest.(check bool) (what ^ ": PL003 fired") true (messages <> []);
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %S" what m expected)
+        true (Str_contains.contains m expected))
+    messages
+
+let test_pl003_stale_statistics () =
+  with_keys 100 (fun eng keys ->
+      (* the table grows tenfold behind the statistics' back *)
+      Storage.Engine.save_table eng "t" (keys 1000);
+      let all = A.Select (A.Cmp (A.Ge, A.Attr "k", A.Const (Int 0)), A.Rel "t") in
+      check_pl003 "scan" "statistics are stale" (pl003_messages eng (A.Rel "t"));
+      check_pl003 "filter over the scan" "statistics are stale" (pl003_messages eng all))
+
+let test_pl003_model_error () =
+  with_keys 1000 (fun eng _ ->
+      (* fresh statistics: the scan produces exactly the counted rows, so
+         the flat filter selectivity is what is wrong *)
+      let point = A.Select (A.Cmp (A.Eq, A.Attr "k", A.Const (Int 5)), A.Rel "t") in
+      check_pl003 "point filter" "estimate model error (selectivity/uniformity)"
+        (pl003_messages eng point))
+
 let suite =
   [
     Alcotest.test_case "stats collect and persist" `Quick
@@ -670,6 +727,10 @@ let suite =
     Alcotest.test_case "join elimination (fixed)" `Quick
       test_join_elimination_fixed;
     Alcotest.test_case "certify (fixed)" `Quick test_certify_fixed;
+    Alcotest.test_case "PL003 names stale statistics" `Quick
+      test_pl003_stale_statistics;
+    Alcotest.test_case "PL003 names estimate model error" `Quick
+      test_pl003_model_error;
     prop_physical_matches_eval;
     prop_forced_merge_matches_eval;
     prop_certify_never_refutes;

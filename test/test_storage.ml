@@ -49,6 +49,68 @@ let test_crc32_incremental () =
        (Support.Crc32.update 0 b ~pos:0 ~len:8)
        b ~pos:8 ~len:(Bytes.length b - 8))
 
+(* The bytewise table CRC the slicing-by-8 one must reproduce exactly:
+   pages and WAL frames written by either stay readable by the other. *)
+let crc32_bytewise crc b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* random buffers, unaligned [pos], lengths 0-4103 (a page and then
+   some, so every tail length 0-7 occurs), and a chain of two updates
+   split at a random point *)
+let prop_crc32_matches_bytewise =
+  let open QCheck2 in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:300 ~name:"crc32 slicing-by-8 = bytewise reference"
+       Gen.(
+         tup4 (int_range 0 15) (int_range 0 4103) (int_range 0 15)
+           (pair (int_range 0 0xFFFFFFFF) (int_range 0 1_000_000)))
+       (fun (pos, len, slack, (init, seed)) ->
+         let rng = Random.State.make [| seed |] in
+         let b = Bytes.init (pos + len + slack) (fun _ -> Char.chr (Random.State.int rng 256)) in
+         let split = if len = 0 then 0 else Random.State.int rng (len + 1) in
+         let expected = crc32_bytewise init b ~pos ~len in
+         let whole = Support.Crc32.update init b ~pos ~len in
+         let chained =
+           Support.Crc32.update
+             (Support.Crc32.update init b ~pos ~len:split)
+             b ~pos:(pos + split) ~len:(len - split)
+         in
+         if whole <> expected then
+           Test.fail_reportf "pos %d len %d: %08x, bytewise %08x" pos len whole expected
+         else if chained <> expected then
+           Test.fail_reportf "pos %d len %d split %d: chained %08x, bytewise %08x" pos
+             len split chained expected
+         else true))
+
+let test_crc32_bounds () =
+  let b = Bytes.make 16 'x' in
+  let raises pos len =
+    match Support.Crc32.update 0 b ~pos ~len with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check bool) (Printf.sprintf "pos %d len %d raises" pos len) true (raises pos len))
+    [ (-1, 4); (0, -1); (0, 17); (9, 8); (16, 1); (17, 0) ];
+  Alcotest.(check bool) "empty range at the end" false (raises 16 0);
+  Alcotest.(check bool) "optional-argument form" true
+    (match Support.Crc32.bytes ~pos:12 ~len:8 b with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* --- codec ------------------------------------------------------------- *)
 
 let test_codec_roundtrip () =
@@ -242,6 +304,82 @@ let test_pool_exhausted () =
   Storage.Buffer_pool.unpin pool a;
   Storage.Pager.close pager;
   cleanup path
+
+(* Random fetch/insert/unpin sequences against a model of every page's
+   records, at capacities 1-8 over more pages than frames, so frames are
+   recycled all the time.  Every pinned page must keep its own contents
+   however much is evicted around it (a pinned frame is never a victim),
+   every fetch must see the page's latest contents (a recycled buffer is
+   re-read, dirty victims written back), and the file must end up equal
+   to the model. *)
+let prop_pool_matches_model =
+  let open QCheck2 in
+  let op = Gen.(triple (int_range 0 3) (int_range 0 63) (int_range 0 999)) in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:150 ~name:"buffer pool = page model under eviction"
+       Gen.(triple (int_range 1 8) (int_range 1 6) (list_size (int_range 0 80) op))
+       (fun (capacity, extra, ops) ->
+         let path = fresh_path () in
+         let pager = Storage.Pager.create path in
+         let npages = capacity + extra in
+         let ids = Array.init npages (fun _ -> Storage.Pager.allocate pager ~kind:3) in
+         let pool = Storage.Buffer_pool.create ~capacity pager in
+         let model = Hashtbl.create 16 in
+         Array.iter (fun id -> Hashtbl.replace model id []) ids;
+         let expect id = List.rev (Hashtbl.find model id) in
+         let records page = List.map snd (Storage.Page.records page) in
+         (* pins held, newest first: (page id, the page handed out) *)
+         let pinned = ref [] in
+         let fail fmt = Printf.ksprintf (fun m -> raise (Failure m)) fmt in
+         let check_page what id page =
+           if records page <> expect id then fail "%s: page %d holds stale bytes" what id
+         in
+         let step (kind, k, v) =
+           match kind with
+           | 0 | 3 -> (
+               let id = ids.(k mod npages) in
+               match Storage.Buffer_pool.fetch pool id with
+               | page ->
+                   check_page "fetch" id page;
+                   if kind = 0 then pinned := (id, page) :: !pinned
+                   else Storage.Buffer_pool.unpin pool id
+               | exception Storage.Buffer_pool.Pool_exhausted ->
+                   let held = List.sort_uniq Int.compare (List.map fst !pinned) in
+                   if List.length held < capacity then
+                     fail "pool exhausted with %d of %d frames pinned" (List.length held)
+                       capacity)
+           | 1 when !pinned <> [] ->
+               let id, page = List.nth !pinned (k mod List.length !pinned) in
+               let r = Printf.sprintf "r%d" v in
+               ignore (Storage.Page.insert page r : int);
+               Storage.Buffer_pool.mark_dirty pool id;
+               Hashtbl.replace model id (r :: Hashtbl.find model id)
+           | _ when !pinned <> [] ->
+               let i = k mod List.length !pinned in
+               let id, _ = List.nth !pinned i in
+               Storage.Buffer_pool.unpin pool id;
+               pinned := List.filteri (fun j _ -> j <> i) !pinned
+           | _ -> ()
+         in
+         Fun.protect
+           ~finally:(fun () ->
+             Storage.Pager.abandon pager;
+             cleanup path)
+           (fun () ->
+             match
+               List.iter
+                 (fun o ->
+                   step o;
+                   List.iter (fun (id, page) -> check_page "pinned" id page) !pinned)
+                 ops;
+               List.iter (fun (id, _) -> Storage.Buffer_pool.unpin pool id) !pinned;
+               Storage.Buffer_pool.flush_all pool;
+               Array.iter
+                 (fun id -> check_page "on disk" id (Storage.Pager.read_page pager id))
+                 ids
+             with
+             | () -> true
+             | exception Failure m -> Test.fail_reportf "capacity %d, %d pages: %s" capacity npages m)))
 
 (* --- WAL ------------------------------------------------------------------- *)
 
@@ -932,6 +1070,8 @@ let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
+    prop_crc32_matches_bytewise;
+    Alcotest.test_case "crc32 bounds checked" `Quick test_crc32_bounds;
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec corrupt" `Quick test_codec_corrupt;
     Alcotest.test_case "page slots" `Quick test_page_slots;
@@ -945,6 +1085,7 @@ let suite =
     Alcotest.test_case "pool dirty flush and wal barrier" `Quick
       test_pool_dirty_flush_and_barrier;
     Alcotest.test_case "pool exhausted" `Quick test_pool_exhausted;
+    prop_pool_matches_model;
     Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
     prop_wal_model_roundtrip;
